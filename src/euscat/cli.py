@@ -212,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="key=value config file")
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument(
-        "--threads", metavar="N", type=int, help="worker count; 1 is deterministic"
+        "--threads", metavar="N", type=int, help="accepted; has no effect"
     )
     common.add_argument("--seed", metavar="S", type=int, help="random seed")
     parser = argparse.ArgumentParser(

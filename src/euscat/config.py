@@ -75,36 +75,30 @@ class RunConfig:
                 raise ConfigError(f"{key} must be positive, got {value}")
         if self.kb_sigma_mev is not None and not (self.kb_sigma_mev > 0):
             raise ConfigError(f"kb.sigma_mev must be positive, got {self.kb_sigma_mev}")
-        if self.cheb_degree < 0:
-            raise ConfigError(f"cheb.degree must be >= 0, got {self.cheb_degree}")
-        if self.cheb_samples < 2:
-            raise ConfigError(f"cheb.samples must be >= 2, got {self.cheb_samples}")
+        at_least = (
+            ("cheb.degree", self.cheb_degree, 0),
+            ("cheb.samples", self.cheb_samples, 2),
+            ("kb.n_step", self.kb_n_step, 1),
+            ("scan.points", self.scan_points, 2),
+            ("scan.n", self.scan_n, 1),
+            ("gf.gram_size", self.gf_gram_size, 1),
+            ("gf.cluster_points", self.gf_cluster_points, 3),
+            ("seed", self.seed, 0),
+            ("threads", self.threads, 1),
+        )
+        for key, value, low in at_least:
+            if value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
         if not (1 <= self.kb_n_min <= self.kb_n_max):
             raise ConfigError(
                 f"kb.n_min..kb.n_max must satisfy 1 <= min <= max, "
                 f"got {self.kb_n_min}..{self.kb_n_max}"
             )
-        if self.kb_n_step < 1:
-            raise ConfigError(f"kb.n_step must be >= 1, got {self.kb_n_step}")
         if not (self.scan_k_min_mev < self.scan_k_max_mev):
             raise ConfigError(
                 f"scan.k_min_mev must be below scan.k_max_mev, "
                 f"got {self.scan_k_min_mev} and {self.scan_k_max_mev}"
             )
-        if self.scan_points < 2:
-            raise ConfigError(f"scan.points must be >= 2, got {self.scan_points}")
-        if self.scan_n < 1:
-            raise ConfigError(f"scan.n must be >= 1, got {self.scan_n}")
-        if self.gf_gram_size < 1:
-            raise ConfigError(f"gf.gram_size must be >= 1, got {self.gf_gram_size}")
-        if self.gf_cluster_points < 3:
-            raise ConfigError(
-                f"gf.cluster_points must be >= 3, got {self.gf_cluster_points}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         self.momenta()
 
     def model(self) -> SeparableModel:

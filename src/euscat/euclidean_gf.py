@@ -32,9 +32,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import erfcx, roots_legendre
+from scipy.special import erfcx
 
 from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
+from .spectral import _panel_nodes
 
 Vector3 = Tuple[float, float, float]
 
@@ -46,20 +47,6 @@ def _as_vec(v) -> np.ndarray:
     if arr.shape != (3,):
         raise DomainError(f"expected a 3-vector, got shape {arr.shape}")
     return arr
-
-
-_GAUSS_CACHE: dict = {}
-
-
-def _gauss_nodes(n: int):
-    # roots_legendre runs in linear time and memory even for large orders
-    cached = _GAUSS_CACHE.get(n)
-    if cached is None:
-        cached = roots_legendre(n)
-        if len(_GAUSS_CACHE) > 256:
-            _GAUSS_CACHE.clear()
-        _GAUSS_CACHE[n] = cached
-    return cached
 
 
 @dataclass(frozen=True)
@@ -259,9 +246,7 @@ class CovarianceKernel:
             + ket.space_width**2 * float(np.dot(ket.momentum, ket.momentum))
         )
         for a, b, n in panels:
-            x, w = _gauss_nodes(int(n * factor))
-            p = 0.5 * (a + b) + 0.5 * (b - a) * x
-            wp = 0.5 * (b - a) * w
+            p, wp = _panel_nodes(a, b, int(n * factor))
             omega = np.sqrt(p * p + self.mass * self.mass)
             time_part = self._time_factor(omega, bra, ket)
             pw = p * w_tilde
@@ -377,23 +362,55 @@ def gf_value(kernel: CovarianceKernel, h: GfArgument) -> float:
     return math.exp(-0.5 * quad)
 
 
-def _pair_exponent_shared(kernel, bra_fn, ket_fn) -> complex:
-    # -(cov(g,g) + conj(cov(f,f)))/2 part shared by both inner products
-    return -0.5 * (
-        kernel._self_cov(ket_fn) + np.conj(kernel._self_cov(bra_fn))
-    )
+# exp overflows past this exponent; such a pair has no finite inner product
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _require_positive_time(fns: Sequence[EuclideanTestFunction]) -> None:
+    for fn in fns:
+        if not fn.is_positive_time:
+            raise PreconditionError(
+                f"test function with tau_center={fn.tau_center} and support "
+                f"cut {fn.cut_sigmas}*{fn.tau_width} is not positive-time"
+            )
+
+
+def _pair_terms(kernel, B, C, reflect: bool, hermitian: bool = False) -> np.ndarray:
+    """Terms conj(b_j) c_k Z[g_k - R conj(f_j)] of both inner products.
+
+    R is the time reflection Theta when ``reflect`` (every function must
+    then be positive-time) and the identity otherwise.  ``hermitian`` (for
+    B = C) computes only the terms with k >= j and fills the rest by
+    conjugate mirroring, with a real diagonal, so the result is exactly
+    Hermitian.
+    """
+    if reflect:
+        _require_positive_time(B.functions + C.functions)
+    terms = np.zeros((len(B.functions), len(C.functions)), dtype=complex)
+    for j, (bj, fj) in enumerate(zip(B.coefficients, B.functions)):
+        bra = fj.reflected() if reflect else fj
+        for k in range(j if hermitian else 0, len(C.functions)):
+            gk = C.functions[k]
+            exponent = kernel._sesqui(bra, gk) - 0.5 * (
+                kernel._self_cov(gk) + np.conj(kernel._self_cov(fj))
+            )
+            if exponent.real > _LOG_FLOAT_MAX:
+                raise AccuracyError(
+                    f"pair ({j}, {k}) overflows: its exponent {exponent:.6g} "
+                    f"has real part above log(float max) = {_LOG_FLOAT_MAX:.2f}"
+                )
+            terms[j, k] = np.conj(bj) * C.coefficients[k] * np.exp(exponent)
+    if not hermitian:
+        return terms
+    strict = np.triu(terms, 1)
+    return strict + strict.conj().T + np.diag(terms.diagonal().real)
 
 
 def euclidean_inner(
     kernel: CovarianceKernel, B: WaveFunctional, C: WaveFunctional
 ) -> complex:
     """(B, C) = sum sum conj(b_j) c_k Z[g_k - conj(f_j)]."""
-    total = 0.0 + 0.0j
-    for bj, fj in zip(B.coefficients, B.functions):
-        for ck, gk in zip(C.coefficients, C.functions):
-            exponent = _pair_exponent_shared(kernel, fj, gk) + kernel._sesqui(fj, gk)
-            total += np.conj(bj) * ck * np.exp(exponent)
-    return complex(total)
+    return complex(sum(_pair_terms(kernel, B, C, reflect=False).flat, 0j))
 
 
 def physical_inner(
@@ -404,21 +421,7 @@ def physical_inner(
     Every test function of both functionals must have positive-time support;
     this is what makes the quadratic form positive semidefinite.
     """
-    for functional in (B, C):
-        for fn in functional.functions:
-            if not fn.is_positive_time:
-                raise PreconditionError(
-                    f"test function with tau_center={fn.tau_center} and support "
-                    f"cut {fn.cut_sigmas}*{fn.tau_width} is not positive-time"
-                )
-    total = 0.0 + 0.0j
-    for bj, fj in zip(B.coefficients, B.functions):
-        for ck, gk in zip(C.coefficients, C.functions):
-            exponent = _pair_exponent_shared(kernel, fj, gk) + kernel._sesqui(
-                fj.reflected(), gk
-            )
-            total += np.conj(bj) * ck * np.exp(exponent)
-    return complex(total)
+    return complex(sum(_pair_terms(kernel, B, C, reflect=True).flat, 0j))
 
 
 def time_translate(B: WaveFunctional, beta: float) -> WaveFunctional:
@@ -437,27 +440,22 @@ def one_particle_inner(
     sesquilinear two-point reduction of the physical product and the cleanest
     probe of the energy-momentum spectrum.
     """
-    for fn in (f, g):
-        if not fn.is_positive_time:
-            raise PreconditionError(
-                f"one-particle sector needs positive-time functions; "
-                f"tau_center={fn.tau_center} violates that"
-            )
+    _require_positive_time((f, g))
     return kernel._sesqui(f.reflected(), g)
 
 
 # -- finite differences ----------------------------------------------------
 
 
-def _fd_first(F: Callable[[float], complex], h: float) -> FDResult:
-    coarse = (F(h) - F(-h)) / (2.0 * h)
-    fine = (F(h / 2) - F(-h / 2)) / h
-    return FDResult((4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0)
-
-
-def _fd_second(F: Callable[[float], complex], h: float, f0: complex) -> FDResult:
-    coarse = (F(h) - 2.0 * f0 + F(-h)) / (h * h)
-    fine = (F(h / 2) - 2.0 * f0 + F(-h / 2)) / (h * h / 4.0)
+def _richardson(F: Callable[[float], complex], h: float, f0=None) -> FDResult:
+    """Central difference of F at 0 with steps h and h/2, Richardson-combined:
+    the first derivative, or the second when the center value f0 is given."""
+    if f0 is None:
+        coarse = (F(h) - F(-h)) / (2.0 * h)
+        fine = (F(h / 2) - F(-h / 2)) / h
+    else:
+        coarse = (F(h) - 2.0 * f0 + F(-h)) / (h * h)
+        fine = (F(h / 2) - 2.0 * f0 + F(-h / 2)) / (h * h / 4.0)
     return FDResult((4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0)
 
 
@@ -466,35 +464,51 @@ def _omega_estimate(kernel: CovarianceKernel, fns) -> float:
     return math.sqrt(top * top + kernel.mass * kernel.mass)
 
 
-def _time_margin(fns) -> float:
-    return min(fn.tau_center - fn.cut_sigmas * fn.tau_width for fn in fns)
+def _time_step(kernel: CovarianceKernel, fns, factor: float) -> float:
+    _require_positive_time(fns)
+    margin = min(fn.tau_center - fn.cut_sigmas * fn.tau_width for fn in fns)
+    return min(factor / _omega_estimate(kernel, fns), margin / 4.0)
 
 
-def _first_step(kernel, fns) -> float:
-    margin = _time_margin(fns)
-    if margin <= 0:
-        raise PreconditionError(
-            "functions have no positive-time margin to differentiate over"
-        )
-    return min(0.02 / _omega_estimate(kernel, fns), margin / 4.0)
+def _test_functions(x) -> Tuple[EuclideanTestFunction, ...]:
+    return x.functions if isinstance(x, WaveFunctional) else (x,)
 
 
-def _second_step(kernel, fns) -> float:
-    margin = _time_margin(fns)
-    if margin <= 0:
-        raise PreconditionError(
-            "functions have no positive-time margin to differentiate over"
-        )
-    return min(0.07 / _omega_estimate(kernel, fns), margin / 4.0)
+def _generator(generator: str, kernel, inner, time_shift, bra, ket) -> FDResult:
+    """<bra|G|ket> for G = "H", "P" or "M2" as Richardson-extrapolated central
+    differences of ``inner`` under group translations; ``time_shift(x, s)``
+    moves x forward in Euclidean time by s."""
+    fns = _test_functions(bra) + _test_functions(ket)
+
+    def in_time(s: float) -> complex:
+        return inner(kernel, bra, time_shift(ket, s))
+
+    if generator == "H":
+        part = _richardson(in_time, _time_step(kernel, fns, 0.02))
+        return FDResult(-part.value, part.error)
+    if generator == "P":
+        h = 0.02 / _omega_estimate(kernel, fns)
+        parts = [
+            _richardson(lambda s: inner(kernel, bra.translated(s * axis), ket), h)
+            for axis in np.eye(3)
+        ]
+        values = np.array([-1j * part.value for part in parts])
+        return FDResult(values, float(np.max([part.error for part in parts])))
+    h = _time_step(kernel, fns, 0.07)
+    f0 = inner(kernel, bra, ket)
+    parts = [_richardson(in_time, h, f0)] + [
+        _richardson(lambda s: inner(kernel, bra, ket.translated(s * axis)), h, f0)
+        for axis in np.eye(3)
+    ]
+    value = sum((part.value for part in parts[1:]), parts[0].value)
+    return FDResult(value, max(part.error for part in parts))
 
 
 def hamiltonian_element(
     kernel: CovarianceKernel, B: WaveFunctional, C: WaveFunctional
 ) -> FDResult:
     """<B|H|C> = -d/dbeta <B|C_beta> at beta=0, Richardson-extrapolated."""
-    h = _first_step(kernel, B.functions + C.functions)
-    result = _fd_first(lambda s: physical_inner(kernel, B, C.time_shifted(s)), h)
-    return FDResult(-result.value, result.error)
+    return _generator("H", kernel, physical_inner, WaveFunctional.time_shifted, B, C)
 
 
 def momentum_element(
@@ -505,94 +519,35 @@ def momentum_element(
     The bra is the translated side; with ket translation the same formula
     would produce the opposite sign for plane-wave momenta.
     """
-    h = 0.02 / _omega_estimate(kernel, B.functions + C.functions)
-    values = np.empty(3, dtype=complex)
-    errors = np.empty(3)
-    for axis in range(3):
-        step = np.zeros(3)
-
-        def F(s: float, axis=axis, step=step) -> complex:
-            step[axis] = s
-            return physical_inner(kernel, B.translated(step), C)
-
-        part = _fd_first(F, h)
-        values[axis] = -1j * part.value
-        errors[axis] = part.error
-    return FDResult(values, float(np.max(errors)))
+    return _generator("P", kernel, physical_inner, WaveFunctional.time_shifted, B, C)
 
 
 def mass_squared_element(
     kernel: CovarianceKernel, B: WaveFunctional, C: WaveFunctional
 ) -> FDResult:
     """<B|M^2|C> = (d^2/dbeta^2 + Laplacian_a) <B|C_{beta,a}> at zero."""
-    h = _second_step(kernel, B.functions + C.functions)
-    f0 = physical_inner(kernel, B, C)
-    time_part = _fd_second(
-        lambda s: physical_inner(kernel, B, C.time_shifted(s)), h, f0
-    )
-    value = time_part.value
-    error = time_part.error
-    for axis in range(3):
-        step = np.zeros(3)
+    return _generator("M2", kernel, physical_inner, WaveFunctional.time_shifted, B, C)
 
-        def F(s: float, axis=axis, step=step) -> complex:
-            step[axis] = s
-            return physical_inner(kernel, B, C.translated(step))
 
-        part = _fd_second(F, h, f0)
-        value = value + part.value
-        error = max(error, part.error)
-    return FDResult(value, error)
+_shifted_in_time = EuclideanTestFunction.shifted_in_time
 
 
 def one_particle_hamiltonian(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> FDResult:
-    h = _first_step(kernel, (f, g))
-    result = _fd_first(lambda s: one_particle_inner(kernel, f, g.shifted_in_time(s)), h)
-    return FDResult(-result.value, result.error)
+    return _generator("H", kernel, one_particle_inner, _shifted_in_time, f, g)
 
 
 def one_particle_momentum(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> FDResult:
-    h = 0.02 / _omega_estimate(kernel, (f, g))
-    values = np.empty(3, dtype=complex)
-    errors = np.empty(3)
-    for axis in range(3):
-        step = np.zeros(3)
-
-        def F(s: float, axis=axis, step=step) -> complex:
-            step[axis] = s
-            return one_particle_inner(kernel, f.translated(step), g)
-
-        part = _fd_first(F, h)
-        values[axis] = -1j * part.value
-        errors[axis] = part.error
-    return FDResult(values, float(np.max(errors)))
+    return _generator("P", kernel, one_particle_inner, _shifted_in_time, f, g)
 
 
 def one_particle_mass_squared(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> FDResult:
-    h = _second_step(kernel, (f, g))
-    f0 = one_particle_inner(kernel, f, g)
-    time_part = _fd_second(
-        lambda s: one_particle_inner(kernel, f, g.shifted_in_time(s)), h, f0
-    )
-    value = time_part.value
-    error = time_part.error
-    for axis in range(3):
-        step = np.zeros(3)
-
-        def F(s: float, axis=axis, step=step) -> complex:
-            step[axis] = s
-            return one_particle_inner(kernel, f, g.translated(step))
-
-        part = _fd_second(F, h, f0)
-        value = value + part.value
-        error = max(error, part.error)
-    return FDResult(value, error)
+    return _generator("M2", kernel, one_particle_inner, _shifted_in_time, f, g)
 
 
 # -- cluster decomposition ---------------------------------------------------
@@ -770,23 +725,13 @@ def physical_gram(
     kernel: CovarianceKernel, fns: Sequence[EuclideanTestFunction]
 ) -> np.ndarray:
     """Gram matrix <e^{i phi(f_i)} | e^{i phi(f_j)}> of the physical product."""
-    singles = [WaveFunctional((1.0,), (fn,)) for fn in fns]
-    n = len(singles)
-    gram = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = physical_inner(kernel, singles[i], singles[j])
-    return gram
+    ones = WaveFunctional((1.0,) * len(fns), fns)
+    return _pair_terms(kernel, ones, ones, reflect=True, hermitian=True)
 
 
 def euclidean_gram(
     kernel: CovarianceKernel, fns: Sequence[EuclideanTestFunction]
 ) -> np.ndarray:
     """Gram matrix of the Euclidean product (no reflection, no time condition)."""
-    singles = [WaveFunctional((1.0,), (fn,)) for fn in fns]
-    n = len(singles)
-    gram = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = euclidean_inner(kernel, singles[i], singles[j])
-    return gram
+    ones = WaveFunctional((1.0,) * len(fns), fns)
+    return _pair_terms(kernel, ones, ones, reflect=False, hermitian=True)

@@ -220,10 +220,10 @@ def packet_overlap(psi_prime: WavePacket, psi: WavePacket) -> complex:
     return complex(np.vdot(psi_prime.weighted(), psi.weighted()))
 
 
-def _resolve_beta(model: SeparableModel, cfg: KBConfig, psi: WavePacket) -> float:
+def _resolve_beta(model: SeparableModel, cfg: KBConfig, k0: float) -> float:
     if cfg.beta is not None:
         return cfg.beta
-    return beta_for(psi.center, model.mass, cfg.beta_x)
+    return beta_for(k0, model.mass, cfg.beta_x)
 
 
 def _hamiltonian(
@@ -255,7 +255,7 @@ def kb_s_overlap(
     error in tests.
     """
     grid = _require_shared_grid(psi_prime, psi)
-    beta = _resolve_beta(model, cfg, psi)
+    beta = _resolve_beta(model, cfg, psi.center)
     operator = _hamiltonian(model, grid, op)
     free_phase = np.exp(-1j * cfg.n * np.exp(-beta * grid.nodes**2 / model.mass))
     v = free_phase * psi.weighted()
@@ -269,7 +269,7 @@ def kb_s_overlap(
         mid = apply_to_semigroup(expansion, sg, v)
     elif propagator == "exact":
         images = np.exp(2j * cfg.n * np.exp(-beta * operator.eigenvalues))
-        mid = operator.vectors @ (images * (operator.vectors.T @ v))
+        mid = operator.apply_images(images, v)
     else:
         raise ValueError(f"unknown propagator {propagator!r}")
     return complex(np.vdot(psi_prime.weighted(), free_phase * mid))
@@ -309,8 +309,7 @@ def time_limit_s_overlap(
     operator = _hamiltonian(model, grid, op)
     free_phase = np.exp(1j * t * grid.nodes**2 / model.mass)
     v = free_phase * psi.weighted()
-    images = np.exp(-2j * t * operator.eigenvalues)
-    mid = operator.vectors @ (images * (operator.vectors.T @ v))
+    mid = operator.apply_images(np.exp(-2j * t * operator.eigenvalues), v)
     return complex(np.vdot(psi_prime.weighted(), free_phase * mid))
 
 
@@ -350,7 +349,7 @@ def sweep_n(
     if any(b <= a for a, b in zip(n_values[:-1], n_values[1:])):
         raise ConfigError("n_values must be strictly ascending")
     grid = _require_shared_grid(psi_prime, psi)
-    operator = diagonalize(discretize_h(model, grid))
+    operator = _hamiltonian(model, grid, None)
     if reference == "packets":
         exact = exact_s_in_packets(model, psi_prime, psi)
     elif reference == "sharp":
@@ -385,14 +384,13 @@ def extract_sharp_t(model: SeparableModel, cfg: KBConfig, k: float) -> SMatrixEs
     if not (k > 0 and math.isfinite(k)):
         raise DomainError(f"momentum must be positive and finite, got {k}")
     sigma = cfg.sigma if cfg.sigma is not None else k / 10.0
-    beta = cfg.beta if cfg.beta is not None else beta_for(k, model.mass, cfg.beta_x)
+    beta = _resolve_beta(model, cfg, k)
     spec = cfg.grid
     if spec is None:
         spec = packet_grid_spec(k, sigma, cfg.n, beta, mass=model.mass)
     grid = build_grid(spec)
     psi = make_packet(k, sigma, grid, mass=model.mass)
-    operator = diagonalize(discretize_h(model, grid))
-    kb = kb_s_overlap(model, cfg, psi, psi, op=operator)
+    kb = kb_s_overlap(model, cfg, psi, psi)
     ident = packet_overlap(psi, psi)
     shell = delta_e_overlap(psi, psi)
     if abs(shell) < 1e-14:

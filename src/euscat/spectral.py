@@ -17,11 +17,13 @@ accordingly instead of shifting H.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from .model import SeparableModel, form_factor
@@ -78,9 +80,27 @@ class SpectralOperator:
     def size(self) -> int:
         return self.eigenvalues.size
 
+    def apply_images(self, images: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """U diag(images) U^T v: the function of H with values ``images`` at
+        the eigenvalues, applied to a vector or to the columns of a matrix."""
+        coeffs = self.vectors.T @ np.asarray(v)
+        if coeffs.ndim == 2:
+            images = images[:, None]
+        return self.vectors @ (images * coeffs)
+
+
+@functools.lru_cache(maxsize=256)
+def _legendre_roots(count: int) -> Tuple[np.ndarray, np.ndarray]:
+    # roots_legendre runs in linear time and memory even for large orders
+    x, w = roots_legendre(count)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
 
 def _panel_nodes(lo: float, hi: float, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(count)
+    """Gauss-Legendre nodes and weights of order ``count`` on [lo, hi]."""
+    x, w = _legendre_roots(count)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -89,25 +109,7 @@ def build_grid(spec: GridSpec = GridSpec()) -> RadialGrid:
     """Gauss-Legendre grid on [0, k_max] per the panel layout in ``spec``."""
     if not (math.isfinite(spec.k_max) and spec.k_max > 0):
         raise ConfigError(f"k_max must be positive and finite, got {spec.k_max}")
-    if spec.panels is not None:
-        panels = [tuple(p) for p in spec.panels]
-        if not panels:
-            raise ConfigError("panels list must not be empty")
-        expected_lo = 0.0
-        for lo, hi, count in panels:
-            if not (lo < hi):
-                raise ConfigError(f"panel ({lo}, {hi}) is not increasing")
-            if abs(lo - expected_lo) > 1e-9 * spec.k_max:
-                raise ConfigError(
-                    f"panels must tile [0, k_max] contiguously; gap at {lo}"
-                )
-            if int(count) < 1:
-                raise ConfigError(f"panel point count must be >= 1, got {count}")
-            expected_lo = hi
-        if abs(expected_lo - spec.k_max) > 1e-9 * spec.k_max:
-            raise ConfigError(f"panels end at {expected_lo}, not k_max={spec.k_max}")
-        desc = "+".join(f"GL[{lo:g},{hi:g}]x{int(n)}" for lo, hi, n in panels)
-    else:
+    if spec.panels is None:
         if spec.points < 16:
             raise ConfigError(f"points must be >= 16, got {spec.points}")
         if not (0.0 < spec.split < spec.k_max):
@@ -119,21 +121,26 @@ def build_grid(spec: GridSpec = GridSpec()) -> RadialGrid:
             (0.0, spec.split, n_lo),
             (spec.split, spec.k_max, spec.points - n_lo),
         ]
-        desc = (
-            f"GL[0,{spec.split:g}]x{n_lo}+GL[{spec.split:g},{spec.k_max:g}]"
-            f"x{spec.points - n_lo}"
-        )
-    nodes = []
-    weights = []
+    else:
+        panels = [tuple(p) for p in spec.panels]
+    if not panels:
+        raise ConfigError("panels list must not be empty")
+    expected_lo = 0.0
     for lo, hi, count in panels:
-        kn, wn = _panel_nodes(float(lo), float(hi), int(count))
-        nodes.append(kn)
-        weights.append(wn)
-    k = np.concatenate(nodes)
-    w = np.concatenate(weights)
+        if not (lo < hi):
+            raise ConfigError(f"panel ({lo}, {hi}) is not increasing")
+        if abs(lo - expected_lo) > 1e-9 * spec.k_max:
+            raise ConfigError(f"panels must tile [0, k_max] contiguously; gap at {lo}")
+        if int(count) < 1:
+            raise ConfigError(f"panel point count must be >= 1, got {count}")
+        expected_lo = hi
+    if abs(expected_lo - spec.k_max) > 1e-9 * spec.k_max:
+        raise ConfigError(f"panels end at {expected_lo}, not k_max={spec.k_max}")
+    desc = "+".join(f"GL[{lo:g},{hi:g}]x{int(n)}" for lo, hi, n in panels)
+    parts = [_panel_nodes(float(lo), float(hi), int(n)) for lo, hi, n in panels]
     return RadialGrid(
-        nodes=k,
-        weights=w,
+        nodes=np.concatenate([nodes for nodes, _ in parts]),
+        weights=np.concatenate([weights for _, weights in parts]),
         k_max=float(spec.k_max),
         descriptor=desc + "; plain dk weights (k^2 measure applied by consumers)",
     )
@@ -193,11 +200,7 @@ def semigroup_apply(op: SpectralOperator, beta: float, v: np.ndarray) -> np.ndar
     """e^{-beta H} v through the eigenbasis; beta must be >= 0."""
     if beta < 0:
         raise DomainError(f"beta must be >= 0, got {beta}")
-    decay = np.exp(-beta * op.eigenvalues)
-    coeffs = op.vectors.T @ np.asarray(v)
-    if coeffs.ndim == 1:
-        return op.vectors @ (decay * coeffs)
-    return op.vectors @ (decay[:, None] * coeffs)
+    return op.apply_images(np.exp(-beta * op.eigenvalues), v)
 
 
 def semigroup_bounds(op: SpectralOperator, beta: float) -> Tuple[float, float]:

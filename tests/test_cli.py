@@ -195,6 +195,13 @@ class TestEntryPoint:
         assert main(["kb-sweep", "--config", path, "--out", str(tmp_path)]) == 3
         assert "sigma" in capsys.readouterr().err
 
+    def test_overflowing_gram_exits_three(self, tmp_path, capsys):
+        # seed 1067 draws a test function whose Gram diagonal overflows exp
+        assert main(["gf-report", "--seed", "1067", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "exponent" in err and "log(float max)" in err
+        assert not (tmp_path / "gf_gram.csv").exists()
+
     def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
         env_dir = tmp_path / "env_dir"
         flag_dir = tmp_path / "flag_dir"

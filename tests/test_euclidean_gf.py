@@ -230,7 +230,7 @@ class TestInnerProducts:
         rng = np.random.default_rng(2024)
         fns = random_test_functions(KERNEL, rng, 8)
         gram = physical_gram(KERNEL, fns)
-        assert np.max(np.abs(gram - gram.conj().T)) < 1e-12
+        assert np.array_equal(gram, gram.conj().T)
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
         assert eigs.min() >= -1e-10 * eigs.max()
 
@@ -238,8 +238,15 @@ class TestInnerProducts:
         rng = np.random.default_rng(7)
         fns = random_test_functions(KERNEL, rng, 6, normalize="euclidean")
         gram = euclidean_gram(KERNEL, fns)
+        assert np.array_equal(gram, gram.conj().T)
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
         assert eigs.min() > 0
+
+    def test_overflowing_gram_entry_raises(self):
+        # this draw has a diagonal exponent near 743, past log(float max)
+        fns = random_test_functions(KERNEL, np.random.default_rng(1067), 8)
+        with pytest.raises(AccuracyError, match="exponent"):
+            physical_gram(KERNEL, fns)
 
     def test_euclidean_inner_matches_value_algebra(self):
         f = real_lump(amp=0.9)
