@@ -216,7 +216,8 @@ class CovarianceKernel:
 
     # -- radial integrand ---------------------------------------------------
     def _sesqui_panels(self, bra, ket):
-        """Peak-centered panels and oscillation-aware point counts."""
+        """Peak-centered panels with oscillation-aware point counts, and the
+        pair constants S, w_tilde and const of the radial integrand."""
         S = bra.space_width**2 + ket.space_width**2
         vr = np.asarray(bra.momentum) * bra.space_width**2 + np.asarray(
             ket.momentum
@@ -233,40 +234,29 @@ class CovarianceKernel:
             panels.append((0.0, lo, self.base_points // 2 + int(osc * lo / 2.0)))
         panels.append((lo, hi, self.base_points + int(osc * (hi - lo) / 2.0)))
         panels.append((hi, top, self.base_points // 2 + int(osc * (top - hi) / 2.0)))
-        return panels, S, vr, vi
-
-    def _sesqui_at_resolution(self, bra, ket, panels, S, vr, vi, factor):
-        total = 0.0 + 0.0j
-        magnitude = 0.0
         v = vr + 1j * vi
-        vdotv = complex(np.dot(v, v))
-        w_tilde = np.sqrt(vdotv)
+        w_tilde = np.sqrt(complex(np.dot(v, v)))
         const = -0.5 * (
             bra.space_width**2 * float(np.dot(bra.momentum, bra.momentum))
             + ket.space_width**2 * float(np.dot(ket.momentum, ket.momentum))
         )
-        for a, b, n in panels:
-            p, wp = _panel_nodes(a, b, int(n * factor))
-            omega = np.sqrt(p * p + self.mass * self.mass)
-            time_part = self._time_factor(omega, bra, ket)
-            pw = p * w_tilde
-            gauss = const - 0.5 * S * p * p
-            small = np.abs(pw) < 1e-6
-            env = np.empty(p.shape, dtype=complex)
-            if np.any(small):
-                ps = pw[small]
-                env[small] = np.exp(gauss[small]) * (
-                    1.0 + ps * ps / 6.0 + ps**4 / 120.0
-                )
-            big = ~small
-            if np.any(big):
-                env[big] = (
-                    np.exp(gauss[big] + pw[big]) - np.exp(gauss[big] - pw[big])
-                ) / (2.0 * pw[big])
-            vals = wp * p * p / (2.0 * omega) * time_part * env
-            total += np.sum(vals)
-            magnitude += float(np.sum(np.abs(vals)))
-        return 4.0 * math.pi * total, 4.0 * math.pi * magnitude
+        return panels, S, w_tilde, const
+
+    def _sesqui_at_resolution(self, bra, ket, panels, S, w_tilde, const, factor):
+        """(integral, integral of the magnitude) with ``factor`` times the
+        panel point counts."""
+        p, wp = _panel_nodes([(a, b, int(n * factor)) for a, b, n in panels])
+        omega = np.sqrt(p * p + self.mass * self.mass)
+        pw = p * w_tilde
+        gauss = const - 0.5 * S * p * p
+        # e^gauss sinh(pw)/pw, by its series where pw is too small to divide by
+        small = np.abs(pw) < 1e-6
+        series = np.exp(gauss) * (1.0 + pw * pw / 6.0 + pw**4 / 120.0)
+        denominator = np.where(small, 1.0, 2.0 * pw)
+        quotient = (np.exp(gauss + pw) - np.exp(gauss - pw)) / denominator
+        env = np.where(small, series, quotient)
+        vals = wp * p * p / (2.0 * omega) * self._time_factor(omega, bra, ket) * env
+        return 4.0 * math.pi * np.sum(vals), 4.0 * math.pi * float(np.sum(np.abs(vals)))
 
     def _sesqui(self, bra: EuclideanTestFunction, ket: EuclideanTestFunction) -> complex:
         """<bra, C ket> with the bra's Fourier data conjugated."""
@@ -284,22 +274,21 @@ class CovarianceKernel:
         )
         if kappa == 0:
             return 0.0 + 0.0j
-        panels, S, vr, vi = self._sesqui_panels(bra, ket)
-        previous, _ = self._sesqui_at_resolution(bra, ket, panels, S, vr, vi, 1.0)
+        panels, *pair = self._sesqui_panels(bra, ket)
+        previous, _ = self._sesqui_at_resolution(bra, ket, panels, *pair, 1.0)
         current, gap = previous, float("inf")
-        factor = 2.0
-        for _ in range(self.max_refinements):
+        for level in range(1, self.max_refinements + 1):
+            factor = 2.0**level
             if factor * max(n for _, _, n in panels) > 30000:
                 break
             current, magnitude = self._sesqui_at_resolution(
-                bra, ket, panels, S, vr, vi, factor
+                bra, ket, panels, *pair, factor
             )
             gap = abs(current - previous)
             # the magnitude term is the roundoff floor of a cancelling sum
             if gap <= self.tol * abs(current) + 1e-13 * magnitude:
                 return complex(kappa * current)
             previous = current
-            factor *= 2.0
         raise AccuracyError(
             f"covariance quadrature stalled at relative change "
             f"{gap / max(abs(current), 1e-300):.3e} (target {self.tol:.1e})"

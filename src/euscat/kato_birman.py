@@ -30,12 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import (
-    ChebyshevExpansion,
-    apply_to_semigroup,
-    converged_expansion,
-    expansion_coefficients,
-)
+from .chebyshev import apply_to_semigroup, converged_expansion
 from .errors import ConfigError, DomainError, PreconditionError
 from .model import (
     DEFAULT_MASS,
@@ -85,15 +80,14 @@ class KBConfig:
     """Knobs of the invariance-principle approximant.
 
     ``beta=None`` switches to the scale-aware choice beta_x * m / k0^2, which
-    keeps e^{-beta E(k0)} = e^{-beta_x} at every packet center.  ``degree``
-    forces a fixed Chebyshev degree (otherwise the expansion is refined until
-    its uniform error is below 1e-12).  ``sigma=None`` means k0/10.
+    keeps e^{-beta E(k0)} = e^{-beta_x} at every packet center.  The Chebyshev
+    expansion is always refined until its uniform error is below 1e-12.
+    ``sigma=None`` means k0/10.
     """
 
     n: int = 250
     beta: Optional[float] = 5e-4
     beta_x: float = 0.5
-    degree: Optional[int] = None
     sigma: Optional[float] = None
     grid: Optional[GridSpec] = None
 
@@ -104,8 +98,6 @@ class KBConfig:
             raise ConfigError(f"beta must be > 0, got {self.beta}")
         if not (self.beta_x > 0):
             raise ConfigError(f"beta_x must be > 0, got {self.beta_x}")
-        if self.degree is not None and self.degree < 0:
-            raise ConfigError(f"degree must be >= 0, got {self.degree}")
         if self.sigma is not None and not (self.sigma > 0):
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
 
@@ -262,10 +254,7 @@ def kb_s_overlap(
     if propagator == "chebyshev":
         sg = Semigroup(op=operator, beta=beta)
         _, hi = sg.bounds()
-        if cfg.degree is not None:
-            expansion = expansion_coefficients(2.0 * cfg.n, cfg.degree, (0.0, hi))
-        else:
-            expansion = converged_expansion(2.0 * cfg.n, (0.0, hi), tol=1e-12)
+        expansion = converged_expansion(2.0 * cfg.n, (0.0, hi), tol=1e-12)
         mid = apply_to_semigroup(expansion, sg, v)
     elif propagator == "exact":
         images = np.exp(2j * cfg.n * np.exp(-beta * operator.eigenvalues))

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 
 DEFAULT_MASS = 938.9
 DEFAULT_MPI = 139.0
@@ -191,7 +191,7 @@ def exact_t_on_shell(model: SeparableModel, k: float) -> complex:
     energy = k * k / model.mass
     denom = 1.0 + model.coupling * _radial_resolvent(model, energy, "above")
     if abs(denom) < 1e-12:
-        raise ArithmeticError(
+        raise AccuracyError(
             f"T-matrix denominator vanished at k={k}; real coupling cannot "
             "place a pole on the physical sheet"
         )
@@ -229,7 +229,10 @@ def bound_state_energy(model: SeparableModel) -> Optional[float]:
     while f(lo) <= 0.0:
         lo *= 2.0
         if lo < -1e12:
-            raise ArithmeticError("bound-state bracket expansion failed")
+            raise AccuracyError(
+                f"bound state of coupling {model.coupling:g} lies below the "
+                "bracket limit E = -1e12 MeV"
+            )
     return float(optimize.brentq(f, lo, 0.0, xtol=1e-10, rtol=8.9e-16))
 
 

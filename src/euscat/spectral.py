@@ -65,12 +65,10 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Eigendecomposition H = U diag(eigenvalues) U^T; ``kind`` tags which
-    operator it represents ("h" interacting, "h0" free)."""
+    """Eigendecomposition H = U diag(eigenvalues) U^T."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         self.eigenvalues.setflags(write=False)
@@ -98,11 +96,18 @@ def _legendre_roots(count: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_nodes(lo: float, hi: float, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order ``count`` on [lo, hi]."""
-    x, w = _legendre_roots(count)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * x, half * w
+def _panel_nodes(
+    panels: Sequence[Tuple[float, float, int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenated Gauss-Legendre nodes and weights, order ``count`` on each
+    consecutive (lo, hi, count) panel."""
+    nodes, weights = [], []
+    for lo, hi, count in panels:
+        x, w = _legendre_roots(int(count))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes.append(mid + half * x)
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def build_grid(spec: GridSpec = GridSpec()) -> RadialGrid:
@@ -137,10 +142,10 @@ def build_grid(spec: GridSpec = GridSpec()) -> RadialGrid:
     if abs(expected_lo - spec.k_max) > 1e-9 * spec.k_max:
         raise ConfigError(f"panels end at {expected_lo}, not k_max={spec.k_max}")
     desc = "+".join(f"GL[{lo:g},{hi:g}]x{int(n)}" for lo, hi, n in panels)
-    parts = [_panel_nodes(float(lo), float(hi), int(n)) for lo, hi, n in panels]
+    nodes, weights = _panel_nodes([(float(lo), float(hi), n) for lo, hi, n in panels])
     return RadialGrid(
-        nodes=np.concatenate([nodes for nodes, _ in parts]),
-        weights=np.concatenate([weights for _, weights in parts]),
+        nodes=nodes,
+        weights=weights,
         k_max=float(spec.k_max),
         descriptor=desc + "; plain dk weights (k^2 measure applied by consumers)",
     )
@@ -154,14 +159,12 @@ def discretize_h(model: SeparableModel, grid: RadialGrid) -> np.ndarray:
     return h
 
 
-def diagonalize(h: np.ndarray, *, kind: str = "h") -> SpectralOperator:
+def diagonalize(h: np.ndarray) -> SpectralOperator:
     """Full eigendecomposition with ascending eigenvalues.
 
     The reconstruction U diag(E) U^T must match the input to 1e-10 relative
     in Frobenius norm, otherwise the decomposition is rejected.
     """
-    if kind not in ("h", "h0"):
-        raise ValueError(f"kind must be 'h' or 'h0', got {kind!r}")
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {h.shape}")
@@ -175,7 +178,7 @@ def diagonalize(h: np.ndarray, *, kind: str = "h") -> SpectralOperator:
             f"eigendecomposition residual {residual:.3e} exceeds 1e-10 * ||H|| "
             f"= {1e-10 * scale:.3e}"
         )
-    return SpectralOperator(eigenvalues=eigenvalues, vectors=vectors, kind=kind)
+    return SpectralOperator(eigenvalues=eigenvalues, vectors=vectors)
 
 
 @dataclass(frozen=True)

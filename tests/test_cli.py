@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import euscat
 from euscat.cli import main
 from euscat.config import (
     RunConfig,
@@ -398,10 +399,14 @@ class TestGfReport:
 
 class TestModuleExecution:
     def test_python_dash_m_runs(self, tmp_path):
+        # the child does not inherit pytest's sys.path, so hand it the
+        # directory that holds the package under test
+        source = str(Path(euscat.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-m", "euscat", "cheb-table", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": source},
         )
         assert result.returncode == 0
         assert "cheb-table: wrote" in result.stdout

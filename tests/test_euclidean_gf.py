@@ -338,6 +338,25 @@ class TestOneParticle:
         assert norm.real > 0
         assert abs(norm.imag) < 1e-12 * norm.real
 
+    def test_refinement_past_first_doubling(self, monkeypatch):
+        # 16 base points need at least two doublings before two passes agree
+        coarse = CovarianceKernel(MASS, base_points=16)
+        passes = []
+        original = CovarianceKernel._sesqui_at_resolution
+
+        def counting(self, *args):
+            passes.append(args[-1])
+            return original(self, *args)
+
+        monkeypatch.setattr(CovarianceKernel, "_sesqui_at_resolution", counting)
+        for momentum in (300.0, 800.0):
+            probe = standard_test_function(momentum)
+            passes.clear()
+            value = one_particle_inner(coarse, probe, probe)
+            assert len(passes) >= 3
+            reference = one_particle_inner(KERNEL, probe, probe)
+            assert abs(value - reference) <= 1e-9 * abs(reference)
+
     def test_semigroup_weight(self):
         # shifting the ket multiplies the integrand by e^{-beta omega};
         # with p0=0 this lands within [e^{-beta*omega_max}, e^{-beta*m}]

@@ -285,8 +285,6 @@ class TestConfigAndHelpers:
         with pytest.raises(ConfigError):
             KBConfig(beta_x=0.0)
         with pytest.raises(ConfigError):
-            KBConfig(degree=-5)
-        with pytest.raises(ConfigError):
             KBConfig(sigma=-10.0)
 
     def test_beta_for_scaling(self):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from euscat.errors import DomainError
+from euscat.errors import AccuracyError, DomainError
 from euscat.model import (
     DEFAULT_BINDING,
     DEFAULT_MASS,
@@ -248,6 +248,10 @@ class TestBoundState:
     def test_rejects_nonnegative_binding(self):
         with pytest.raises(DomainError):
             coupling_for_binding(DEFAULT_MASS, 0.0)
+
+    def test_bound_state_beyond_bracket_limit_raises_typed_error(self):
+        with pytest.raises(AccuracyError, match=r"coupling 1e\+30.*-1e12 MeV"):
+            bound_state_energy(SeparableModel(DEFAULT_MASS, 1e30))
 
 
 class TestModelBasics:

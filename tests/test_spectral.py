@@ -132,8 +132,6 @@ class TestDiscretizeAndDiagonalize:
             diagonalize(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(PreconditionError):
             diagonalize(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            diagonalize(np.eye(2), kind="momentum")
 
 
 class TestSemigroup:
@@ -153,9 +151,7 @@ class TestSemigroup:
         assert np.linalg.norm(two_step - one_step) <= 1e-12 * np.linalg.norm(SMALL_VEC)
 
     def test_free_case_is_elementwise(self):
-        free = diagonalize(
-            discretize_h(SeparableModel(MODEL.mass, 0.0), GRID), kind="h0"
-        )
+        free = diagonalize(discretize_h(SeparableModel(MODEL.mass, 0.0), GRID))
         v = RNG.standard_normal(GRID.size)
         out = semigroup_apply(free, 2e-4, v)
         direct = np.exp(-2e-4 * GRID.nodes**2 / MODEL.mass) * v
