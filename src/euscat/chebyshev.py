@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import fft
@@ -128,22 +128,19 @@ def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) ->
 
 
 def uniform_error_report(
-    exp: ChebyshevExpansion,
-    oscillation: Optional[float] = None,
-    sample_count: int = 11,
+    exp: ChebyshevExpansion, sample_count: int = 11
 ) -> ErrorReport:
     """Componentwise errors vs e^{i*osc*x} at equispaced points, plus the
     maximum over a dense 10^4-point grid."""
     if sample_count < 2:
         raise ConfigError(f"sample_count must be >= 2, got {sample_count}")
-    osc = exp.oscillation if oscillation is None else float(oscillation)
     a, b = exp.domain
 
     def errors(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         values = evaluate_scalar(exp, points)
         return (
-            np.abs(values.real - np.cos(osc * points)),
-            np.abs(values.imag - np.sin(osc * points)),
+            np.abs(values.real - np.cos(exp.oscillation * points)),
+            np.abs(values.imag - np.sin(exp.oscillation * points)),
         )
 
     xs = np.linspace(a, b, sample_count)
@@ -158,17 +155,13 @@ def uniform_error_report(
 
 
 def converged_expansion(
-    oscillation: float,
-    domain: Tuple[float, float],
-    tol: float = 1e-12,
-    degree: Optional[int] = None,
+    oscillation: float, domain: Tuple[float, float], tol: float = 1e-12
 ) -> ChebyshevExpansion:
     """Expansion whose dense-grid error is below ``tol``, raising the degree
     in steps of 64 if the analytic estimate falls short."""
     a, b = domain
-    guess = degree if degree is not None else int(abs(oscillation) * (b - a) / 2.0) + 96
-    cap = guess + 512
-    n = guess
+    n = int(abs(oscillation) * (b - a) / 2.0) + 96
+    cap = n + 512
     while True:
         exp = expansion_coefficients(oscillation, n, domain)
         xs = np.linspace(a, b, 2048)

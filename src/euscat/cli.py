@@ -90,7 +90,7 @@ def cmd_kb_sweep(cfg: RunConfig, out_dir: Path) -> None:
     model = cfg.model()
     k0 = cfg.kb_k0_mev
     sigma = cfg.kb_sigma_mev if cfg.kb_sigma_mev is not None else k0 / 10.0
-    kb_cfg = KBConfig(n=cfg.kb_n_max, beta=cfg.kb_beta, sigma=sigma)
+    kb_cfg = KBConfig(beta=cfg.kb_beta)
     spec = packet_grid_spec(
         k0, sigma, cfg.kb_n_max, cfg.kb_beta, k_max=cfg.grid_k_max_mev, mass=model.mass
     )
@@ -211,9 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument(
-        "--threads", metavar="N", type=int, help="accepted; has no effect"
-    )
     common.add_argument("--seed", metavar="S", type=int, help="random seed")
     parser = argparse.ArgumentParser(
         prog="euscat",
@@ -251,8 +248,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     flags = {}
     if args.out is not None:
         flags["out"] = args.out
-    if args.threads is not None:
-        flags["threads"] = str(args.threads)
     if args.seed is not None:
         flags["seed"] = str(args.seed)
     try:

@@ -55,7 +55,6 @@ class RunConfig:
     gf_cluster_points: int = 9
     out: str = "out"
     seed: int = 1234
-    threads: int = 1
 
     def __post_init__(self) -> None:
         positive = (
@@ -75,6 +74,17 @@ class RunConfig:
                 raise ConfigError(f"{key} must be positive, got {value}")
         if self.kb_sigma_mev is not None and not (self.kb_sigma_mev > 0):
             raise ConfigError(f"kb.sigma_mev must be positive, got {self.kb_sigma_mev}")
+        if not (math.isfinite(self.model_binding_mev) and self.model_binding_mev < 0):
+            raise ConfigError(
+                f"model.binding_mev must be finite and negative, "
+                f"got {self.model_binding_mev}"
+            )
+        for key, value in (
+            ("model.coupling", self.model_coupling),
+            ("cheb.oscillation", self.cheb_oscillation),
+        ):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         at_least = (
             ("cheb.degree", self.cheb_degree, 0),
             ("cheb.samples", self.cheb_samples, 2),
@@ -84,7 +94,6 @@ class RunConfig:
             ("gf.gram_size", self.gf_gram_size, 1),
             ("gf.cluster_points", self.gf_cluster_points, 3),
             ("seed", self.seed, 0),
-            ("threads", self.threads, 1),
         )
         for key, value, low in at_least:
             if value < low:

@@ -152,35 +152,21 @@ class ClusterReport:
     fitted_rate: float
 
 
+# The radial grid starts from _BASE_POINTS per peak panel; every panel is
+# doubled until two successive resolutions agree to _TOL relative, for at
+# most _MAX_REFINEMENTS doublings.
+_BASE_POINTS = 160
+_TOL = 1e-10
+_MAX_REFINEMENTS = 7
+
+
 class CovarianceKernel:
-    """Free two-point covariance of mass ``mass`` with adaptive quadrature.
+    """Free two-point covariance of mass ``mass`` with adaptive quadrature."""
 
-    ``base_points`` seeds the radial grid; panels are refined (doubled) until
-    two successive resolutions agree to ``tol`` relative, up to
-    ``max_refinements`` doublings.
-    """
-
-    def __init__(
-        self,
-        mass: float,
-        base_points: int = 160,
-        tol: float = 1e-10,
-        max_refinements: int = 7,
-    ) -> None:
+    def __init__(self, mass: float) -> None:
         if not (mass > 0 and math.isfinite(mass)):
             raise DomainError(f"mass must be positive and finite, got {mass}")
-        if base_points < 16:
-            raise ConfigError(f"base_points must be >= 16, got {base_points}")
-        if not (0 < tol < 1e-2):
-            raise ConfigError(f"tol must be in (0, 1e-2), got {tol}")
-        if max_refinements < 1:
-            raise ConfigError(
-                f"max_refinements must be >= 1, got {max_refinements}"
-            )
         self.mass = float(mass)
-        self.base_points = int(base_points)
-        self.tol = float(tol)
-        self.max_refinements = int(max_refinements)
         self._self_cov_cache: dict = {}
 
     # -- time factor -------------------------------------------------------
@@ -231,9 +217,9 @@ class CovarianceKernel:
         top = peak + 30.0 * sigma_p
         panels = []
         if lo > 0.0:
-            panels.append((0.0, lo, self.base_points // 2 + int(osc * lo / 2.0)))
-        panels.append((lo, hi, self.base_points + int(osc * (hi - lo) / 2.0)))
-        panels.append((hi, top, self.base_points // 2 + int(osc * (top - hi) / 2.0)))
+            panels.append((0.0, lo, _BASE_POINTS // 2 + int(osc * lo / 2.0)))
+        panels.append((lo, hi, _BASE_POINTS + int(osc * (hi - lo) / 2.0)))
+        panels.append((hi, top, _BASE_POINTS // 2 + int(osc * (top - hi) / 2.0)))
         v = vr + 1j * vi
         w_tilde = np.sqrt(complex(np.dot(v, v)))
         const = -0.5 * (
@@ -277,7 +263,7 @@ class CovarianceKernel:
         panels, *pair = self._sesqui_panels(bra, ket)
         previous, _ = self._sesqui_at_resolution(bra, ket, panels, *pair, 1.0)
         current, gap = previous, float("inf")
-        for level in range(1, self.max_refinements + 1):
+        for level in range(1, _MAX_REFINEMENTS + 1):
             factor = 2.0**level
             if factor * max(n for _, _, n in panels) > 30000:
                 break
@@ -286,12 +272,12 @@ class CovarianceKernel:
             )
             gap = abs(current - previous)
             # the magnitude term is the roundoff floor of a cancelling sum
-            if gap <= self.tol * abs(current) + 1e-13 * magnitude:
+            if gap <= _TOL * abs(current) + 1e-13 * magnitude:
                 return complex(kappa * current)
             previous = current
         raise AccuracyError(
             f"covariance quadrature stalled at relative change "
-            f"{gap / max(abs(current), 1e-300):.3e} (target {self.tol:.1e})"
+            f"{gap / max(abs(current), 1e-300):.3e} (target {_TOL:.1e})"
         )
 
     def _bilinear(self, x: EuclideanTestFunction, y: EuclideanTestFunction) -> complex:
@@ -577,30 +563,20 @@ def cluster_check(
 # -- canonical states and scans ----------------------------------------------
 
 
-def standard_test_function(
-    momentum_x: float = 0.0,
-    *,
-    tau_width: float = 0.0035,
-    tau0_sigmas: float = 7.5,
-    space_width: float = 1.0,
-    cut_sigmas: float = 6.0,
-    amplitude: complex = 1.0,
-) -> EuclideanTestFunction:
+def standard_test_function(momentum_x: float = 0.0) -> EuclideanTestFunction:
     """The canonical one-particle probe used by dispersion checks.
 
-    The time width must keep omega*tau_width well under tau0_sigmas over the
-    momentum range probed: past that, the Laplace-transform saddle of the
-    time profile crosses the reflection point and the semigroup derivative
-    saturates instead of reading omega(p).  The default supports |p| up to
-    about 1 GeV with the 139 MeV mass.
+    Its time width 0.0035 must keep omega*width well under the 7.5 widths
+    between its center and the reflection point over the momenta probed:
+    past that, the Laplace-transform saddle of the time profile crosses the
+    reflection point and the semigroup derivative saturates instead of
+    reading omega(p).  This holds for |p| up to about 1 GeV at mass 139 MeV.
     """
     return EuclideanTestFunction(
-        tau_center=tau0_sigmas * tau_width,
-        tau_width=tau_width,
-        space_width=space_width,
+        tau_center=7.5 * 0.0035,
+        tau_width=0.0035,
+        space_width=1.0,
         momentum=(momentum_x, 0.0, 0.0),
-        amplitude=amplitude,
-        cut_sigmas=cut_sigmas,
     )
 
 
@@ -614,13 +590,7 @@ class DispersionRow(NamedTuple):
 
 
 def dispersion_scan(
-    kernel: CovarianceKernel,
-    momenta: Sequence[float],
-    *,
-    tau_width: float = 0.0035,
-    tau0_sigmas: float = 7.5,
-    space_width: float = 1.0,
-    cut_sigmas: float = 6.0,
+    kernel: CovarianceKernel, momenta: Sequence[float]
 ) -> List[DispersionRow]:
     """One-particle <H> and <M^2> against the relativistic expectation.
 
@@ -630,13 +600,7 @@ def dispersion_scan(
     rows = []
     m2 = kernel.mass * kernel.mass
     for p in momenta:
-        probe = standard_test_function(
-            float(p),
-            tau_width=tau_width,
-            tau0_sigmas=tau0_sigmas,
-            space_width=space_width,
-            cut_sigmas=cut_sigmas,
-        )
+        probe = standard_test_function(float(p))
         norm = one_particle_inner(kernel, probe, probe).real
         energy = one_particle_hamiltonian(kernel, probe, probe).value.real / norm
         mass_sq = one_particle_mass_squared(kernel, probe, probe).value.real / norm
@@ -659,8 +623,6 @@ def random_test_functions(
     rng: np.random.Generator,
     count: int,
     *,
-    momentum_scale: float = 40.0,
-    center_scale: float = 0.01,
     normalize: str = "physical",
 ) -> List[EuclideanTestFunction]:
     """Randomized positive-time test functions for property-based checks.
@@ -679,8 +641,8 @@ def random_test_functions(
             tau_center=tau_width * rng.uniform(7.5, 11.0),
             tau_width=tau_width,
             space_width=rng.uniform(0.02, 0.06),
-            momentum=tuple(momentum_scale * rng.standard_normal(3)),
-            center=tuple(center_scale * rng.uniform(-1.0, 1.0, 3)),
+            momentum=tuple(40.0 * rng.standard_normal(3)),
+            center=tuple(0.01 * rng.uniform(-1.0, 1.0, 3)),
         )
         bra = raw.reflected() if normalize == "physical" else raw
         norm = math.sqrt(kernel._sesqui(bra, raw).real)
@@ -691,10 +653,6 @@ def random_test_functions(
 
 def cluster_probe_pair(
     kernel: CovarianceKernel,
-    *,
-    space_width: float = 0.002,
-    tau_width: float = 0.0015,
-    amplitude: float = 0.6,
 ) -> Tuple[EuclideanTestFunction, EuclideanTestFunction]:
     """Two normalized real-profile lumps for spatial clustering checks.
 
@@ -705,9 +663,9 @@ def cluster_probe_pair(
         base = EuclideanTestFunction(
             tau_center=7.5 * st, tau_width=st, space_width=sx
         )
-        return base.scaled(amplitude / math.sqrt(covariance(kernel, base, base)))
+        return base.scaled(0.6 / math.sqrt(covariance(kernel, base, base)))
 
-    return lump(space_width, tau_width), lump(1.3 * space_width, 1.2 * tau_width)
+    return lump(0.002, 0.0015), lump(1.3 * 0.002, 1.2 * 0.0015)
 
 
 def physical_gram(

@@ -261,11 +261,11 @@ def test_ac7_byte_identical_reruns(tmp_path, monkeypatch, capsys):
     identical = True
     for command, files in commands.items():
         config = tmp_path / f"{command}.cfg"
-        config.write_text(texts[command] + "seed=1234\nthreads=1\n")
+        config.write_text(texts[command] + "seed=1234\n")
         runs = [tmp_path / f"{command}-a", tmp_path / f"{command}-b"]
         for out_dir in runs:
             args = [command, "--config", str(config), "--out", str(out_dir)]
-            code = main(args + ["--threads", "1"])
+            code = main(args)
             assert code == 0, f"{command} exited {code}"
         for name in files:
             if (runs[0] / name).read_bytes() != (runs[1] / name).read_bytes():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from euscat.chebyshev import (
-    ChebyshevExpansion,
     apply_to_semigroup,
     converged_expansion,
     evaluate_scalar,
@@ -229,4 +228,4 @@ class TestConvergedExpansion:
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(AccuracyError):
-            converged_expansion(440.0, (0.0, 1.0), tol=1e-16, degree=300)
+            converged_expansion(440.0, (0.0, 1.0), tol=1e-16)

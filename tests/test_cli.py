@@ -52,7 +52,6 @@ class TestConfigParsing:
         assert cfg.kb_sigma_mev is None
         assert cfg.momenta() == (0.0, 100.0, 300.0, 500.0, 800.0)
         assert cfg.out == "out"
-        assert cfg.threads == 1
 
     def test_key_names_are_dotted_by_section(self):
         keys = config_keys()
@@ -126,12 +125,23 @@ class TestConfigParsing:
             ("gf.gram_size", "0"),
             ("gf.cluster_points", "2"),
             ("seed", "-1"),
-            ("threads", "0"),
+            ("model.coupling", "nan"),
+            ("model.coupling", "inf"),
+            ("model.binding_mev", "1"),
+            ("model.binding_mev", "0"),
+            ("model.binding_mev", "-inf"),
+            ("cheb.oscillation", "nan"),
         ],
     )
     def test_range_validation(self, key, value):
         with pytest.raises(ConfigError):
             build_config({key: value})
+
+    def test_threads_is_refused(self, capsys):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            build_config({"threads": "1"})
+        assert main(["cheb-table", "--threads", "1"]) == 2
+        capsys.readouterr()
 
     def test_n_range_must_be_ordered(self):
         with pytest.raises(ConfigError, match="n_min"):

@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
+from euscat import euclidean_gf
 from euscat.euclidean_gf import (
     CovarianceKernel,
     EuclideanTestFunction,
@@ -68,12 +69,6 @@ class TestDescriptors:
             WaveFunctional((), ())
         with pytest.raises(DomainError):
             CovarianceKernel(-1.0)
-        with pytest.raises(ConfigError):
-            CovarianceKernel(MASS, base_points=4)
-        with pytest.raises(ConfigError):
-            CovarianceKernel(MASS, tol=0.5)
-        with pytest.raises(ConfigError):
-            CovarianceKernel(MASS, max_refinements=0)
 
     def test_positive_time_boundary(self):
         assert EuclideanTestFunction(0.0121, 0.002, 1.0).is_positive_time
@@ -172,10 +167,12 @@ class TestCovariance:
         with pytest.raises(PreconditionError, match="one_particle_inner"):
             covariance(KERNEL, boosted, boosted)
 
-    def test_unreachable_tolerance_raises(self):
-        strict = CovarianceKernel(MASS, base_points=16, tol=1e-16, max_refinements=1)
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(euclidean_gf, "_BASE_POINTS", 16)
+        monkeypatch.setattr(euclidean_gf, "_TOL", 1e-16)
+        monkeypatch.setattr(euclidean_gf, "_MAX_REFINEMENTS", 1)
         with pytest.raises(AccuracyError):
-            covariance(strict, real_lump(), real_lump(sx=0.0025))
+            covariance(KERNEL, real_lump(), real_lump(sx=0.0025))
 
 
 class TestGeneratingFunctional:
@@ -340,7 +337,8 @@ class TestOneParticle:
 
     def test_refinement_past_first_doubling(self, monkeypatch):
         # 16 base points need at least two doublings before two passes agree
-        coarse = CovarianceKernel(MASS, base_points=16)
+        probes = [standard_test_function(momentum) for momentum in (300.0, 800.0)]
+        references = [one_particle_inner(KERNEL, probe, probe) for probe in probes]
         passes = []
         original = CovarianceKernel._sesqui_at_resolution
 
@@ -348,13 +346,12 @@ class TestOneParticle:
             passes.append(args[-1])
             return original(self, *args)
 
+        monkeypatch.setattr(euclidean_gf, "_BASE_POINTS", 16)
         monkeypatch.setattr(CovarianceKernel, "_sesqui_at_resolution", counting)
-        for momentum in (300.0, 800.0):
-            probe = standard_test_function(momentum)
+        for probe, reference in zip(probes, references):
             passes.clear()
-            value = one_particle_inner(coarse, probe, probe)
+            value = one_particle_inner(KERNEL, probe, probe)
             assert len(passes) >= 3
-            reference = one_particle_inner(KERNEL, probe, probe)
             assert abs(value - reference) <= 1e-9 * abs(reference)
 
     def test_semigroup_weight(self):
@@ -370,8 +367,8 @@ class TestOneParticle:
         assert ratio > math.exp(-beta * math.sqrt(MASS**2 + 30.0**2))
 
     def test_mixed_derivative_identity(self):
-        f = standard_test_function(120.0, amplitude=1.0)
-        g = standard_test_function(90.0, amplitude=1.0)
+        f = standard_test_function(120.0)
+        g = standard_test_function(90.0)
         norm = math.sqrt(
             one_particle_inner(KERNEL, f, f).real
             * one_particle_inner(KERNEL, g, g).real

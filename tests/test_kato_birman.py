@@ -6,7 +6,6 @@ operator limit with real-time propagators and must plateau at the same number
 the semigroup pipeline produces.
 """
 
-import dataclasses
 import math
 
 import numpy as np
