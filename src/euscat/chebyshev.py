@@ -30,6 +30,9 @@ from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from .spectral import Semigroup
 
 _DOMAIN_SLACK = 1e-12
+# each degree costs one semigroup application; at this degree one Clenshaw
+# pass on a 500-point grid already takes about a minute
+_MAX_DEGREE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,13 @@ def converged_expansion(
     """Expansion whose dense-grid error is below ``tol``, raising the degree
     in steps of 64 if the analytic estimate falls short."""
     a, b = domain
-    n = int(abs(oscillation) * (b - a) / 2.0) + 96
+    estimate = abs(oscillation) * (b - a) / 2.0
+    if not estimate + 96 <= _MAX_DEGREE:
+        raise AccuracyError(
+            f"degree estimate {estimate + 96:.3e} for oscillation {oscillation:g} on "
+            f"[{a:g}, {b:g}] exceeds the limit {_MAX_DEGREE}"
+        )
+    n = int(estimate) + 96
     cap = n + 512
     while True:
         exp = expansion_coefficients(oscillation, n, domain)

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
-from .spectral import _panel_nodes
+from .spectral import _LOG_FLOAT_MAX, _panel_nodes
 
 Vector3 = Tuple[float, float, float]
 
@@ -335,10 +335,6 @@ def gf_value(kernel: CovarianceKernel, h: GfArgument) -> float:
         for cj, fj in terms:
             quad += ci * cj * kernel._bilinear(fi, fj).real
     return math.exp(-0.5 * quad)
-
-
-# exp overflows past this exponent; such a pair has no finite inner product
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _require_positive_time(fns: Sequence[EuclideanTestFunction]) -> None:

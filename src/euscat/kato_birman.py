@@ -331,7 +331,9 @@ def sweep_n(
     ``reference`` picks the comparison value: "packets" is the exact S
     averaged over the packet pair (isolates the n-dependence), "sharp" is
     S at the ket packet's center momentum (adds the packet-width bias, which
-    is what shrinks when sigma does).  One diagonalization serves the sweep.
+    is what shrinks when sigma does).  One diagonalization serves the sweep,
+    and so does one dense semigroup matrix: beta does not depend on n, and
+    the operator caches e^{-beta H} for the beta last applied.
     """
     if len(n_values) == 0:
         raise ConfigError("n_values must not be empty")

@@ -8,7 +8,10 @@ symmetrized with square-root weights,
     H_ij = delta_ij k_i^2/m - coupling * sqrt(w_i) k_i g(k_i) sqrt(w_j) k_j g(k_j),
 
 so its eigenvectors are orthonormal under the plain dot product and one dense
-diagonalization serves every later evaluation of e^{-beta H}.  Only the
+diagonalization serves every later evaluation of e^{-beta H}.  A
+``Semigroup`` applies the dense real matrix U diag(e^{-beta E}) U^T, formed
+once per operator and beta; complex vectors meet real matrices through a
+zero-copy real view, so no matrix is ever copied to complex.  Only the
 contractive direction beta >= 0 is exposed.  With an attractive coupling the
 spectrum dips below zero, so the upper semigroup bound exceeds 1 by
 e^{-beta E_bound}; downstream polynomial approximation widens its domain
@@ -19,8 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -63,12 +66,35 @@ class RadialGrid:
         return self.nodes.size
 
 
+# exp overflows past this exponent
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _real_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v for a real matrix and a real or complex vector or block.
+
+    A complex operand is viewed as real with its real and imaginary parts in
+    adjacent columns, so the product is one real GEMM and the matrix is never
+    copied to complex.
+    """
+    v = np.asarray(v)
+    if not np.iscomplexobj(v):
+        return matrix @ v
+    v = np.ascontiguousarray(v, dtype=complex)
+    parts = v.reshape(v.shape[0], -1).view(np.float64)
+    return (matrix @ parts).view(complex).reshape(v.shape)
+
+
 @dataclass(frozen=True)
 class SpectralOperator:
     """Eigendecomposition H = U diag(eigenvalues) U^T."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    # the dense e^{-beta H} of the last beta a Semigroup applied
+    _semigroups: Dict[float, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.eigenvalues.setflags(write=False)
@@ -81,10 +107,17 @@ class SpectralOperator:
     def apply_images(self, images: np.ndarray, v: np.ndarray) -> np.ndarray:
         """U diag(images) U^T v: the function of H with values ``images`` at
         the eigenvalues, applied to a vector or to the columns of a matrix."""
-        coeffs = self.vectors.T @ np.asarray(v)
+        coeffs = _real_product(self.vectors.T, v)
         if coeffs.ndim == 2:
             images = images[:, None]
-        return self.vectors @ (images * coeffs)
+        return _real_product(self.vectors, images * coeffs)
+
+    def _semigroup_matrix(self, beta: float) -> np.ndarray:
+        # one beta at a time keeps the cache at one N x N matrix
+        if beta not in self._semigroups:
+            self._semigroups.clear()
+            self._semigroups[beta] = _dense_semigroup(self, beta)
+        return self._semigroups[beta]
 
 
 @functools.lru_cache(maxsize=256)
@@ -193,7 +226,9 @@ class Semigroup:
             raise DomainError(f"beta must be > 0, got {self.beta}")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return semigroup_apply(self.op, self.beta, v)
+        """e^{-beta H} v as one real matrix product with the cached dense
+        matrix; v is a real or complex vector or N x K block."""
+        return _real_product(self.op._semigroup_matrix(self.beta), v)
 
     def bounds(self) -> Tuple[float, float]:
         return semigroup_bounds(self.op, self.beta)
@@ -211,11 +246,29 @@ def semigroup_bounds(op: SpectralOperator, beta: float) -> Tuple[float, float]:
 
     With a bound state present the upper bound exceeds 1 (by e^{-beta E_b});
     callers sizing a polynomial approximation domain must use these rather
-    than assuming [0, 1].
+    than assuming [0, 1].  A largest eigenvalue beyond the float range raises
+    ``AccuracyError``.
     """
     if beta <= 0:
         raise DomainError(f"beta must be > 0, got {beta}")
+    e0 = float(op.eigenvalues[0])
+    if not -beta * e0 <= _LOG_FLOAT_MAX:
+        raise AccuracyError(
+            f"semigroup bound e^(-beta E_0) with beta={beta:g}, E_0={e0:g} MeV "
+            f"overflows: exponent {-beta * e0:.6g} > log(float max) = "
+            f"{_LOG_FLOAT_MAX:.2f}"
+        )
     return (
         float(np.exp(-beta * op.eigenvalues[-1])),
-        float(np.exp(-beta * op.eigenvalues[0])),
+        float(np.exp(-beta * e0)),
     )
+
+
+def _dense_semigroup(op: SpectralOperator, beta: float) -> np.ndarray:
+    """The read-only dense matrix U diag(e^{-beta E}) U^T; a beta whose
+    bound e^{-beta E_0} overflows raises ``AccuracyError`` first."""
+    semigroup_bounds(op, beta)
+    u = op.vectors
+    matrix = (u * np.exp(-beta * op.eigenvalues)) @ u.T
+    matrix.setflags(write=False)
+    return matrix

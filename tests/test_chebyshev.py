@@ -5,6 +5,8 @@ U diag(e^{i*osc*exp(-beta E)}) U^T v, which never goes through polynomial
 approximation at all.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,12 @@ class TestConvergedExpansion:
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(AccuracyError):
             converged_expansion(440.0, (0.0, 1.0), tol=1e-16)
+
+    def test_degree_estimate_beyond_limit_raises(self):
+        # a semigroup bound of e^400 on a packet sweep at n = 20
+        with pytest.raises(AccuracyError, match="degree estimate"):
+            converged_expansion(40.0, (0.0, math.exp(400.0)))
+        with pytest.raises(AccuracyError, match="degree estimate"):
+            converged_expansion(40.0, (0.0, 1e308))
+        with pytest.raises(AccuracyError, match="exceeds the limit"):
+            converged_expansion(4e6, (0.0, 1.0))

@@ -206,6 +206,27 @@ class TestEntryPoint:
         assert main(["kb-sweep", "--config", path, "--out", str(tmp_path)]) == 3
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "beta, message",
+        [
+            # e^{-beta E_0} itself overflows
+            ("0.05", "E_0="),
+            # e^{-beta E_0} = e^400 is finite, the Chebyshev degree is not usable
+            ("0.02", "degree estimate"),
+        ],
+    )
+    def test_overflowing_semigroup_bound_exits_three(
+        self, tmp_path, capsys, beta, message
+    ):
+        path = write_config(
+            tmp_path,
+            f"model.binding_mev=-20000\nkb.beta={beta}\n"
+            "kb.n_min=10\nkb.n_max=20\nkb.n_step=10\n",
+        )
+        assert main(["kb-sweep", "--config", path, "--out", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "kb_sweep.csv").exists()
+
     def test_overflowing_gram_exits_three(self, tmp_path, capsys):
         # seed 1067 draws a test function whose Gram diagonal overflows exp
         assert main(["gf-report", "--seed", "1067", "--out", str(tmp_path)]) == 3

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from euscat import spectral
 from euscat.errors import ConfigError, DomainError, PreconditionError
 from euscat.kato_birman import (
     KBConfig,
@@ -171,6 +172,19 @@ class TestSweep:
             kb = kb_s_overlap(MODEL, KBConfig(n=250, beta=5e-4), psi, psi)
             plateaus.append(abs(kb - sharp) / abs(sharp))
         assert plateaus[1] < plateaus[0] / 2.5
+
+    def test_one_semigroup_matrix_per_sweep(self, monkeypatch):
+        formed = []
+        original = spectral._dense_semigroup
+
+        def counting(op, beta):
+            formed.append(beta)
+            return original(op, beta)
+
+        monkeypatch.setattr(spectral, "_dense_semigroup", counting)
+        rows = sweep_n(MODEL, KBConfig(), [10, 20, 40], PACKET_1GEV, PACKET_1GEV)
+        assert len(rows) == 3
+        assert formed == [5e-4]
 
     def test_input_validation(self):
         with pytest.raises(ConfigError):

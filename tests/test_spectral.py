@@ -1,16 +1,18 @@
 """Tests for grids, the discretized Hamiltonian, and semigroup evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euscat.errors import ConfigError, DomainError, PreconditionError
+from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from euscat.model import SeparableModel, bound_state_energy, default_model
 from euscat.spectral import (
     GridSpec,
+    Semigroup,
     build_grid,
     diagonalize,
     discretize_h,
@@ -213,3 +215,67 @@ class TestSemigroup:
             semigroup_bounds(OP, 0.0)
         with pytest.raises(DomainError):
             semigroup_bounds(OP, -1.0)
+
+
+class TestDenseSemigroup:
+    """Semigroup.apply, one product with the cached dense e^{-beta H},
+    against the eigenbasis oracle semigroup_apply."""
+
+    BETA = 4e-4
+
+    def _assert_matches_oracle(self, v):
+        out = Semigroup(op=OP, beta=self.BETA).apply(v)
+        oracle = semigroup_apply(OP, self.BETA, v)
+        assert out.shape == oracle.shape
+        assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        return out
+
+    def test_real_vector_stays_real(self):
+        out = self._assert_matches_oracle(RNG.standard_normal(GRID.size))
+        assert out.dtype == np.float64
+
+    def test_complex_vector(self):
+        v = RNG.standard_normal(GRID.size) + 1j * RNG.standard_normal(GRID.size)
+        assert self._assert_matches_oracle(v).dtype == np.complex128
+
+    def test_complex_block(self):
+        block = RNG.standard_normal((GRID.size, 5)) + 1j * RNG.standard_normal(
+            (GRID.size, 5)
+        )
+        self._assert_matches_oracle(block)
+
+    def test_non_contiguous_complex_slice(self):
+        block = RNG.standard_normal((GRID.size, 3)) + 1j * RNG.standard_normal(
+            (GRID.size, 3)
+        )
+        assert not block[:, 1].flags.c_contiguous
+        self._assert_matches_oracle(block[:, 1])
+
+    def test_cached_matrix_is_read_only(self):
+        sg = Semigroup(op=OP, beta=self.BETA)
+        sg.apply(np.ones(GRID.size))
+        matrix = OP._semigroup_matrix(self.BETA)
+        assert matrix is OP._semigroup_matrix(self.BETA)
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+    def test_complex_application_makes_no_square_temporary(self):
+        grid = build_grid(GridSpec(points=490))
+        op = diagonalize(discretize_h(MODEL, grid))
+        sg = Semigroup(op=op, beta=5e-4)
+        v = RNG.standard_normal(grid.size) + 1j * RNG.standard_normal(grid.size)
+        sg.apply(v)  # forms and caches the dense matrix
+        tracemalloc.start()
+        try:
+            sg.apply(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size**2 * 8
+
+    def test_overflowing_bound_raises_typed_error(self):
+        deep = diagonalize(np.diag([-20000.0, 10.0, 400.0]))
+        with pytest.raises(AccuracyError, match=r"beta=0\.05.*E_0=-20000"):
+            semigroup_bounds(deep, 0.05)
+        with pytest.raises(AccuracyError, match="E_0=-20000"):
+            Semigroup(op=deep, beta=0.05).apply(np.ones(3))
