@@ -72,44 +72,44 @@ def form_factor(model: SeparableModel, k):
     return 1.0 / (model.mpi**2 + np.asarray(k, dtype=float) ** 2)
 
 
-def _f_closed(zp: complex, beta: float, side: str) -> complex:
+def _f_closed(zp, beta: float, side: str) -> np.ndarray:
     """F(z') = int_0^inf k^2 dk / [(k^2+beta^2)^2 (z' - k^2)] in closed form.
 
-    ``zp`` is real; ``side`` picks the z' +- i0 boundary value when zp > 0.
-    Partial fractions give A/(k^2+b^2) + B/(k^2+b^2)^2 + C/(z'-k^2) with
-    A = C = z'/d^2, B = -b^2/d, d = z'+b^2, integrated term by term.  The
-    individual terms blow up like 1/d^2 while F stays finite, so for
-    |d| <= b^2/4 the partial-fraction form is abandoned for the expansion
-    F = -(pi/b^3) sum_n c_n (d/b^2)^n, c_0 = 1/16,
+    ``zp`` is real, a scalar or an array; ``side`` picks the z' +- i0
+    boundary value where zp > 0.  Partial fractions give A/(k^2+b^2) +
+    B/(k^2+b^2)^2 + C/(z'-k^2) with A = C = z'/d^2, B = -b^2/d, d = z'+b^2,
+    integrated term by term.  The individual terms blow up like 1/d^2 while F
+    stays finite, so for |d| <= b^2/4 the partial-fraction form is abandoned
+    for the expansion F = -(pi/b^3) sum_n c_n (d/b^2)^n, c_0 = 1/16,
     c_{n+1}/c_n = (2n+3)/(2n+6), which converges geometrically there and
     keeps the relative error near machine precision on both branches.
     """
+    zp = np.asarray(zp, dtype=float)
     b2 = beta * beta
     d = zp + b2
-    if abs(d) <= 0.25 * b2:
-        u = d / b2
-        term = 1.0 / 16.0
-        total = term
-        for n in range(60):
-            term *= u * (2 * n + 3) / (2 * n + 6)
-            total += term
-            if abs(term) <= 1e-17 * abs(total):
-                break
-        return -(math.pi / beta**3) * total
+    near = np.abs(d) <= 0.25 * b2
+    u = np.where(near, d / b2, 0.0)
+    term = np.full(zp.shape, 1.0 / 16.0)
+    series = term.copy()
+    for n in range(60):
+        term = term * (u * (2 * n + 3) / (2 * n + 6))
+        series += term
+        if np.all(np.abs(term) <= 1e-17 * np.abs(series)):
+            break
+    d = np.where(near, b2, d)
     a_coef = zp / (d * d)
     b_coef = -b2 / d
     total = a_coef * math.pi / (2.0 * beta) + b_coef * math.pi / (4.0 * beta**3)
-    if zp == 0.0:
-        return complex(total)
-    if zp > 0.0:
-        kappa = -1j * math.sqrt(zp) if side == "above" else 1j * math.sqrt(zp)
-    else:
-        kappa = complex(math.sqrt(-zp))
-    return total - math.pi * zp / (2.0 * d * d * kappa)
+    root = np.sqrt(np.abs(zp))
+    kappa = np.where(zp > 0.0, (-1j if side == "above" else 1j) * root, root)
+    kappa = np.where(zp == 0.0, 1.0, kappa)
+    closed = total - math.pi * zp / (2.0 * d * d * kappa)
+    return np.where(near, -(math.pi / beta**3) * series, closed)[()]
 
 
-def _radial_resolvent(model: SeparableModel, energy: float, side: str = "above") -> complex:
-    """I(E +- i0) = int_0^inf dk k^2 g(k)^2 / (E +- i0 - k^2/m)."""
+def _radial_resolvent(model: SeparableModel, energy, side: str = "above"):
+    """I(E +- i0) = int_0^inf dk k^2 g(k)^2 / (E +- i0 - k^2/m), for a scalar
+    or an array of energies."""
     return model.mass * _f_closed(model.mass * energy, model.mpi, side)
 
 
@@ -180,28 +180,37 @@ def resolvent_form_factor_element(
     return 4.0 * math.pi * radial
 
 
-def exact_t_on_shell(model: SeparableModel, k: float) -> complex:
+def exact_t_on_shell(model: SeparableModel, k):
     """On-shell half-line T-matrix t(k) = -coupling*g(k)^2 / (1 + coupling*I(E+i0)).
 
     The denominator uses the radial resolvent integral I = element/(4*pi);
     the result obeys Im t = -(pi*m*k/2)|t|^2, i.e. exact elastic unitarity.
+    ``k`` is a scalar, giving a complex, or an array, giving an array.
     """
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"momentum must be positive and finite, got {k}")
+    k = np.asarray(k, dtype=float)
+    valid = (k > 0.0) & np.isfinite(k)
+    if not np.all(valid):
+        raise DomainError(
+            f"momentum must be positive and finite, got {k[~valid].flat[0]}"
+        )
     energy = k * k / model.mass
     denom = 1.0 + model.coupling * _radial_resolvent(model, energy, "above")
-    if abs(denom) < 1e-12:
+    vanished = np.abs(denom) < 1e-12
+    if np.any(vanished):
         raise AccuracyError(
-            f"T-matrix denominator vanished at k={k}; real coupling cannot "
-            "place a pole on the physical sheet"
+            f"T-matrix denominator vanished at k={k[vanished].flat[0]}; real "
+            "coupling cannot place a pole on the physical sheet"
         )
-    g = 1.0 / (model.mpi**2 + k * k)
-    return -model.coupling * g * g / denom
+    g = form_factor(model, k)
+    t = -model.coupling * g * g / denom
+    return complex(t) if t.ndim == 0 else t
 
 
-def exact_s_on_shell(model: SeparableModel, k: float) -> complex:
-    """S(k) = 1 - i*pi*m*k*t(k); |S| = 1 for real coupling."""
-    return 1.0 - 1j * math.pi * model.mass * k * exact_t_on_shell(model, k)
+def exact_s_on_shell(model: SeparableModel, k):
+    """S(k) = 1 - i*pi*m*k*t(k); |S| = 1 for real coupling.  ``k`` is a
+    scalar, giving a complex, or an array, giving an array."""
+    s = 1.0 - 1j * math.pi * model.mass * np.asarray(k) * exact_t_on_shell(model, k)
+    return complex(s) if s.ndim == 0 else s
 
 
 def on_shell_amplitude(model: SeparableModel, k: float) -> OnShellAmplitude:

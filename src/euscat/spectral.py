@@ -235,9 +235,12 @@ class Semigroup:
 
 
 def semigroup_apply(op: SpectralOperator, beta: float, v: np.ndarray) -> np.ndarray:
-    """e^{-beta H} v through the eigenbasis; beta must be >= 0."""
+    """e^{-beta H} v through the eigenbasis; beta must be >= 0, and a beta > 0
+    whose bound e^{-beta E_0} overflows raises ``AccuracyError``."""
     if beta < 0:
         raise DomainError(f"beta must be >= 0, got {beta}")
+    if beta > 0:
+        semigroup_bounds(op, beta)
     return op.apply_images(np.exp(-beta * op.eigenvalues), v)
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from euscat import spectral
-from euscat.errors import ConfigError, DomainError, PreconditionError
+from euscat.config import RunConfig
+from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from euscat.kato_birman import (
     KBConfig,
     beta_for,
@@ -26,7 +27,13 @@ from euscat.kato_birman import (
     sweep_n,
     time_limit_s_overlap,
 )
-from euscat.model import SeparableModel, default_model, exact_s_on_shell, exact_t_on_shell
+from euscat.model import (
+    SeparableModel,
+    coupling_for_binding,
+    default_model,
+    exact_s_on_shell,
+    exact_t_on_shell,
+)
 from euscat.spectral import GridSpec, build_grid, diagonalize, discretize_h
 
 MODEL = default_model()
@@ -123,6 +130,12 @@ class TestKBOverlap:
         bad_op = diagonalize(discretize_h(MODEL, other))
         with pytest.raises(PreconditionError):
             kb_s_overlap(MODEL, KBConfig(), PACKET_1GEV, PACKET_1GEV, op=bad_op)
+
+    def test_exact_propagator_shares_the_overflow_check(self):
+        deep = SeparableModel(MODEL.mass, coupling_for_binding(binding=-20000.0))
+        cfg = KBConfig(n=10, beta=0.05)
+        with pytest.raises(AccuracyError, match="beta=0.05"):
+            kb_s_overlap(deep, cfg, PACKET_1GEV, PACKET_1GEV, propagator="exact")
 
     def test_rejects_unknown_propagator(self):
         with pytest.raises(ValueError):
@@ -319,3 +332,99 @@ class TestConfigAndHelpers:
     def test_packet_grid_spec_coverage(self):
         with pytest.raises(ConfigError):
             packet_grid_spec(5000.0, 200.0, 100, 5e-4, k_max=6000.0)
+        for sigma in (0.0, -10.0, float("nan")):
+            with pytest.raises(DomainError):
+                packet_grid_spec(1000.0, sigma, 100, 5e-4)
+
+    def test_packet_ending_at_k_max_has_no_empty_panel(self):
+        spec = packet_grid_spec(5000.0, 125.0, 100, 5e-4)
+        assert spec.panels[-1][:2] == (4000.0, 6000.0)
+        assert all(lo < hi for lo, hi, _ in spec.panels)
+        grid = build_grid(spec)
+        psi = make_packet(5000.0, 125.0, grid)
+        assert packet_overlap(psi, psi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_s_in_packets_matches_scalar_path(self):
+        scalar = np.array([exact_s_on_shell(MODEL, float(k)) for k in GRID_1GEV.nodes])
+        looped = np.vdot(PACKET_1GEV.weighted(), scalar * PACKET_1GEV.weighted())
+        value = exact_s_in_packets(MODEL, PACKET_1GEV, PACKET_1GEV)
+        assert abs(value - looped) <= 1e-14 * abs(looped)
+
+
+def _refined(spec: GridSpec) -> GridSpec:
+    """The same panels with 1.5x the nodes on each."""
+    panels = [(lo, hi, math.ceil(1.5 * count)) for lo, hi, count in spec.panels]
+    return GridSpec(k_max=spec.k_max, panels=panels)
+
+
+def _size(spec: GridSpec) -> int:
+    return sum(count for _, _, count in spec.panels)
+
+
+class TestGridConvergence:
+    """The grid layer of the error budget: the hardest packet_grid_spec
+    layouts rebuilt with 1.5x the nodes on every panel give the same answers.
+
+    Measured drifts: 9e-13 (k = 100) and 4e-12 (k = 2000) for t, 3e-13 and
+    2e-13 for the two sweeps.
+    """
+
+    @pytest.mark.parametrize("k", [100.0, 2000.0])
+    def test_sharp_amplitude(self, k):
+        sigma = k / 24.0
+        spec = packet_grid_spec(k, sigma, 300, beta_for(k))
+        t = [
+            extract_sharp_t(
+                MODEL, KBConfig(n=300, beta=None, sigma=sigma, grid=layout), k
+            ).t_approx
+            for layout in (spec, _refined(spec))
+        ]
+        assert abs(t[0] - t[1]) <= 1e-9 * abs(t[1])
+
+    @pytest.mark.parametrize(
+        "k0, beta, n_values, primed",
+        [
+            (1000.0, 5e-4, list(range(10, 301, 10)), False),
+            (150.0, beta_for(150.0), [10, 20, 30], True),
+        ],
+    )
+    def test_overlap_sweep(self, k0, beta, n_values, primed):
+        sigma = k0 / 10.0
+        spec = packet_grid_spec(k0, sigma, n_values[-1], beta)
+        sweeps = []
+        for layout in (spec, _refined(spec)):
+            grid = build_grid(layout)
+            psi = make_packet(k0, sigma, grid)
+            bra = make_packet(1.04 * k0, 0.9 * sigma, grid) if primed else psi
+            rows = sweep_n(MODEL, KBConfig(beta=beta), n_values, bra, psi)
+            sweeps.append(np.array([complex(r.re_approx, r.im_approx) for r in rows]))
+        assert np.all(np.abs(sweeps[0] - sweeps[1]) <= 1e-10 * np.abs(sweeps[1]))
+
+    def test_default_layouts_stay_small(self):
+        # fixed floors or margins would push these back towards N = 490
+        cfg = RunConfig()
+        mass = cfg.model_mass_mev
+        momenta = np.geomspace(cfg.scan_k_min_mev, cfg.scan_k_max_mev, cfg.scan_points)
+        scan = [
+            _size(
+                packet_grid_spec(
+                    k,
+                    k * cfg.scan_sigma_factor,
+                    cfg.scan_n,
+                    beta_for(k, mass, cfg.scan_beta_x),
+                    k_max=cfg.grid_k_max_mev,
+                    mass=mass,
+                )
+            )
+            for k in momenta
+        ]
+        assert np.mean(scan) <= 280
+        sweep = packet_grid_spec(
+            cfg.kb_k0_mev,
+            cfg.kb_k0_mev / 10.0,
+            cfg.kb_n_max,
+            cfg.kb_beta,
+            k_max=cfg.grid_k_max_mev,
+            mass=mass,
+        )
+        assert _size(sweep) <= 280

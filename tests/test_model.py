@@ -18,6 +18,7 @@ from euscat.model import (
     DEFAULT_MASS,
     DEFAULT_MPI,
     SeparableModel,
+    _f_closed,
     bound_state_energy,
     coupling_for_binding,
     critical_coupling,
@@ -153,6 +154,63 @@ class TestResolventElement:
             resolvent_form_factor_element(mod, float("nan"))
         with pytest.raises(DomainError):
             resolvent_form_factor_element(mod, 1.0 + 1.0j)
+
+
+def _f_closed_scalar(zp: float, beta: float, side: str) -> complex:
+    """The scalar loop form of model._f_closed, kept as its reference."""
+    b2 = beta * beta
+    d = zp + b2
+    if abs(d) <= 0.25 * b2:
+        u = d / b2
+        term = 1.0 / 16.0
+        total = term
+        for n in range(60):
+            term *= u * (2 * n + 3) / (2 * n + 6)
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                break
+        return -(math.pi / beta**3) * total
+    total = zp / (d * d) * math.pi / (2.0 * beta) - b2 / d * math.pi / (4.0 * beta**3)
+    if zp == 0.0:
+        return complex(total)
+    if zp > 0.0:
+        kappa = -1j * math.sqrt(zp) if side == "above" else 1j * math.sqrt(zp)
+    else:
+        kappa = complex(math.sqrt(-zp))
+    return total - math.pi * zp / (2.0 * d * d * kappa)
+
+
+class TestArrayForm:
+    def test_f_closed_matches_scalar_loop_across_the_series_switch(self):
+        b2 = DEFAULT_MPI**2
+        zp = np.concatenate(
+            [
+                np.linspace(-1.5 * b2, -0.5 * b2, 201),
+                [-5.0, 0.0, 5.0],
+                np.geomspace(1.0, 3.6e7, 60),
+            ]
+        )
+        near = np.abs(zp + b2) <= 0.25 * b2
+        assert near.any() and (~near).any()
+        for side in ("above", "below"):
+            values = _f_closed(zp, DEFAULT_MPI, side)
+            reference = np.array([_f_closed_scalar(z, DEFAULT_MPI, side) for z in zp])
+            assert np.all(np.abs(values - reference) <= 1e-14 * np.abs(reference))
+
+    def test_on_shell_arrays_match_scalar_calls(self):
+        mod = default_model()
+        ks = np.geomspace(1.0, 6000.0, 97)
+        t = exact_t_on_shell(mod, ks)
+        s = exact_s_on_shell(mod, ks)
+        assert t.shape == s.shape == ks.shape
+        for i, k in enumerate(ks):
+            assert t[i] == exact_t_on_shell(mod, float(k))
+            assert s[i] == exact_s_on_shell(mod, float(k))
+        assert isinstance(exact_s_on_shell(mod, 500.0), complex)
+
+    def test_array_with_a_bad_momentum_is_rejected(self):
+        with pytest.raises(DomainError, match="got -3.0"):
+            exact_t_on_shell(default_model(), np.array([100.0, -3.0, 200.0]))
 
 
 class TestOnShell:

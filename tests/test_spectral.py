@@ -279,3 +279,9 @@ class TestDenseSemigroup:
             semigroup_bounds(deep, 0.05)
         with pytest.raises(AccuracyError, match="E_0=-20000"):
             Semigroup(op=deep, beta=0.05).apply(np.ones(3))
+
+    def test_eigenbasis_oracle_shares_the_overflow_check(self):
+        deep = diagonalize(np.diag([-20000.0, 10.0, 400.0]))
+        with pytest.raises(AccuracyError, match=r"beta=0\.05.*E_0=-20000"):
+            semigroup_apply(deep, 0.05, np.ones(3))
+        assert np.array_equal(semigroup_apply(deep, 0.0, np.ones(3)), np.ones(3))
