@@ -1,15 +1,14 @@
 """Chebyshev approximation of x -> e^{i*osc*x} on an interval, for scalars and
 for the Euclidean semigroup.
 
-Coefficients come from interpolation at the degree+1 Chebyshev-Gauss nodes,
-
-    c_j = 2/(N+1) * sum_k f(x(cos theta_k)) cos(j theta_k),
-    theta_k = (2k+1) pi / (2(N+1)),
-
-computed with a type-II DCT, and the series is evaluated as
-(1/2) c_0 T_0 + sum_{j>=1} c_j T_j.  Since the target is entire, coefficients
-decay super-exponentially once the degree passes |osc|*(b-a)/2, so uniform
-errors at the 1e-13 level are reachable on any finite interval.
+With x = (a+b)/2 + t (b-a)/2 and z = osc*(b-a)/2, Jacobi-Anger gives the
+coefficients c_j = 2 i^j J_j(z) e^{i*osc*(a+b)/2} of (1/2) c_0 T_0 +
+sum_{j>=1} c_j T_j (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  As
+|T_j| <= 1, the tail sum_{j>N} |c_j| bounds the uniform error at degree N.
+From j0 = ceil(e|z|/2) on, DLMF 10.14.4 bounds |J_j(z)| by (|z|/2)^j / j! <=
+(e|z|/2j)^j <= 1, falling by 1/e or more per step, so the |c_j| past j0 + 40
+sum to below 2e^{-40}/(e-1) < 5e-18.  No tolerance below the rounding of the
+phase osc*x itself, eps * max(1, |osc| * max(|a|, |b|)), is accepted.
 
 Applying the expansion to e^{-beta H} uses the Clenshaw recurrence with the
 affinely rescaled operator as the argument; each recurrence step costs exactly
@@ -20,11 +19,10 @@ functions of H are reached through contractive operations only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
-from scipy import fft
 
 from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from .spectral import Semigroup
@@ -33,6 +31,10 @@ _DOMAIN_SLACK = 1e-12
 # each degree costs one semigroup application; at this degree one Clenshaw
 # pass on a 500-point grid already takes about a minute
 _MAX_DEGREE = 1_000_000
+
+
+def _negligible_from(z: float) -> int:
+    return math.ceil(math.e * z / 2.0) + 40  # j0 + 40, see the module docstring
 
 
 @dataclass(frozen=True)
@@ -57,31 +59,44 @@ class ErrorReport:
     dense_max_sin: float
 
 
-def expansion_coefficients(
-    oscillation: float, degree: int, domain: Tuple[float, float] = (0.0, 1.0)
-) -> ChebyshevExpansion:
-    """Interpolation coefficients of e^{i*oscillation*x} on [a, b]."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+def _checked(oscillation: float, domain: Tuple[float, float]) -> Tuple[float, float, float]:
+    """a, b and z = oscillation * (b - a) / 2, with |z| within the degree limit."""
     a, b = float(domain[0]), float(domain[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"domain must be a finite interval with a < b, got {domain}")
     if not math.isfinite(oscillation):
         raise DomainError(f"oscillation must be finite, got {oscillation}")
-    count = degree + 1
-    theta = (2.0 * np.arange(count) + 1.0) * math.pi / (2.0 * count)
-    x = a + (b - a) * (np.cos(theta) + 1.0) / 2.0
-    samples = np.exp(1j * oscillation * x)
-    coeffs = (fft.dct(samples.real, type=2) + 1j * fft.dct(samples.imag, type=2)) / count
-    return ChebyshevExpansion(
-        degree=degree, coefficients=coeffs, domain=(a, b), oscillation=float(oscillation)
-    )
+    z = float(oscillation) * (b - a) / 2.0
+    if not abs(z) <= _MAX_DEGREE:
+        raise AccuracyError(f"degree estimate {abs(z):.3e} for oscillation {oscillation:g} "
+                            f"on [{a:g}, {b:g}] exceeds the limit {_MAX_DEGREE}")
+    return a, b, z
 
 
-def _halved_leading(exp: ChebyshevExpansion) -> np.ndarray:
-    c = exp.coefficients.copy()
-    c[0] *= 0.5
-    return c
+def _bessel_j(degree: int, z: float) -> np.ndarray:
+    """J_0(z)..J_degree(z) for z >= 0 by Miller's backward recurrence (DLMF 3.6)
+    on J_k/J_{k-1}, from max(degree, j0 + 40), normalised by J_0 + 2 sum J_2k = 1."""
+    ratios = np.ones(max(degree, _negligible_from(z)) + 1)
+    r = 0.0
+    for k in range(ratios.size - 1, 0, -1):
+        r = z / (2.0 * k - z * r)
+        ratios[k] = r
+    values = np.cumprod(ratios)
+    return values[: degree + 1] / (1.0 + 2.0 * np.sum(values[2::2]))
+
+
+def expansion_coefficients(
+    oscillation: float, degree: int, domain: Tuple[float, float] = (0.0, 1.0)
+) -> ChebyshevExpansion:
+    """Jacobi-Anger coefficients c_0..c_degree of e^{i*oscillation*x} on [a, b]."""
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    a, b, z = _checked(oscillation, domain)
+    # i^j J_j(z) = (i sgn z)^j J_j(|z|), exact powers: -osc gives exact conjugates
+    unit = 1j if z >= 0 else -1j
+    powers = np.array([1.0, unit, -1.0, -unit])[np.arange(degree + 1) % 4]
+    coeffs = 2.0 * _bessel_j(degree, abs(z)) * (powers * np.exp(0.5j * oscillation * (a + b)))
+    return ChebyshevExpansion(degree, coeffs, (a, b), float(oscillation))
 
 
 def evaluate_scalar(exp: ChebyshevExpansion, x):
@@ -89,15 +104,12 @@ def evaluate_scalar(exp: ChebyshevExpansion, x):
     a, b = exp.domain
     slack = _DOMAIN_SLACK * (b - a)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < a - slack) or np.any(arr > b + slack):
-        raise DomainError(
-            f"evaluation point outside expansion domain [{a}, {b}]"
-        )
-    t = (2.0 * arr - (a + b)) / (b - a)
-    value = np.polynomial.chebyshev.chebval(t, _halved_leading(exp))
-    if np.isscalar(x) or arr.ndim == 0:
-        return complex(value)
-    return value
+    if not np.all((arr >= a - slack) & (arr <= b + slack)):  # NaN fails too
+        raise DomainError(f"evaluation point not in the expansion domain [{a}, {b}]")
+    halved = exp.coefficients.copy()
+    halved[0] *= 0.5
+    value = np.polynomial.chebyshev.chebval((2.0 * arr - (a + b)) / (b - a), halved)
+    return complex(value) if np.isscalar(x) or arr.ndim == 0 else value
 
 
 def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) -> np.ndarray:
@@ -150,35 +162,23 @@ def uniform_error_report(
     dcos, dsin = errors(xs)
     rows = [(float(x), float(c), float(s)) for x, c, s in zip(xs, dcos, dsin)]
     dense_cos, dense_sin = errors(np.linspace(a, b, 10_000))
-    return ErrorReport(
-        rows=rows,
-        dense_max_cos=float(np.max(dense_cos)),
-        dense_max_sin=float(np.max(dense_sin)),
-    )
+    return ErrorReport(rows, float(np.max(dense_cos)), float(np.max(dense_sin)))
 
 
 def converged_expansion(
     oscillation: float, domain: Tuple[float, float], tol: float = 1e-12
 ) -> ChebyshevExpansion:
-    """Expansion whose dense-grid error is below ``tol``, raising the degree
-    in steps of 64 if the analytic estimate falls short."""
-    a, b = domain
-    estimate = abs(oscillation) * (b - a) / 2.0
-    if not estimate + 96 <= _MAX_DEGREE:
-        raise AccuracyError(
-            f"degree estimate {estimate + 96:.3e} for oscillation {oscillation:g} on "
-            f"[{a:g}, {b:g}] exceeds the limit {_MAX_DEGREE}"
-        )
-    n = int(estimate) + 96
-    cap = n + 512
-    while True:
-        exp = expansion_coefficients(oscillation, n, domain)
-        xs = np.linspace(a, b, 2048)
-        err = np.max(np.abs(evaluate_scalar(exp, xs) - np.exp(1j * oscillation * xs)))
-        if err <= tol:
-            return exp
-        if n >= cap:
-            raise AccuracyError(
-                f"degree {n} expansion still has uniform error {err:.3e} > {tol:.3e}"
-            )
-        n += 64
+    """Lowest-degree expansion whose certified tail sum_{j>N} |c_j|, and so
+    its uniform error up to rounding, is at most ``tol``."""
+    a, b, z = _checked(oscillation, domain)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    floor = np.finfo(float).eps * max(1.0, abs(oscillation) * max(abs(a), abs(b)))
+    if tol < floor:
+        raise AccuracyError(f"tol {tol:.3e} is below the rounding floor {floor:.3e} "
+                            f"of the phase {oscillation:g} x on [{a:g}, {b:g}]")
+    full = expansion_coefficients(oscillation, _negligible_from(abs(z)), (a, b))
+    # tails[N] = sum_{j>N} |c_j|; the uncomputed rest adds < 5e-18 < eps/40 <= tol/40
+    tails = np.append(np.cumsum(np.abs(full.coefficients[:0:-1]))[::-1], 0.0)
+    degree = int(np.argmax(tails + 5e-18 <= tol))
+    return replace(full, degree=degree, coefficients=full.coefficients[: degree + 1].copy())

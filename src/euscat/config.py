@@ -72,7 +72,9 @@ class RunConfig:
         for key, value in positive:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be positive, got {value}")
-        if self.kb_sigma_mev is not None and not (self.kb_sigma_mev > 0):
+        if self.kb_sigma_mev is not None and not (
+            math.isfinite(self.kb_sigma_mev) and self.kb_sigma_mev > 0
+        ):
             raise ConfigError(f"kb.sigma_mev must be positive, got {self.kb_sigma_mev}")
         if not (math.isfinite(self.model_binding_mev) and self.model_binding_mev < 0):
             raise ConfigError(

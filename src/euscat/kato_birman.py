@@ -94,12 +94,9 @@ class KBConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.beta is not None and not (self.beta > 0):
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if not (self.beta_x > 0):
-            raise ConfigError(f"beta_x must be > 0, got {self.beta_x}")
-        if self.sigma is not None and not (self.sigma > 0):
-            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        for key, value in (("beta", self.beta), ("beta_x", self.beta_x), ("sigma", self.sigma)):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
 
 
 class SMatrixEstimate(NamedTuple):
@@ -163,9 +160,9 @@ def packet_grid_spec(
     On the 20 default t-scan layouts this gives N = 198-279, and t moves by
     at most 8e-11 relative when every panel gets 1.5x the nodes.
     """
-    if not (k0 > 0 and sigma > 0 and math.isfinite(k0 + sigma)):
+    if not (k0 > 0 and sigma > 0 and beta > 0 and math.isfinite(k0 + sigma + beta)):
         raise DomainError(
-            f"k0 and sigma must be positive and finite, got {k0} and {sigma}"
+            f"k0, sigma and beta must be positive and finite, got {k0}, {sigma} and {beta}"
         )
     if k0 + 8.0 * sigma > k_max:
         raise ConfigError(

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import fft, special
 
 from euscat.chebyshev import (
     apply_to_semigroup,
@@ -40,6 +43,17 @@ REFERENCE_ROWS = [
 ]
 
 TABLE_EXPANSION = expansion_coefficients(-220.0, 300)
+EPS = np.finfo(float).eps
+
+
+def _interpolation_coefficients(osc, degree, domain):
+    """Reference: interpolation at the degree+1 Chebyshev-Gauss nodes by a
+    type-II DCT, which converges to the Jacobi-Anger coefficients."""
+    a, b = domain
+    count = degree + 1
+    theta = (2.0 * np.arange(count) + 1.0) * math.pi / (2.0 * count)
+    samples = np.exp(1j * osc * (a + (b - a) * (np.cos(theta) + 1.0) / 2.0))
+    return (fft.dct(samples.real, type=2) + 1j * fft.dct(samples.imag, type=2)) / count
 
 
 class TestScalarExpansion:
@@ -119,6 +133,46 @@ class TestScalarExpansion:
             evaluate_scalar(TABLE_EXPANSION, -0.2)
         with pytest.raises(DomainError):
             evaluate_scalar(TABLE_EXPANSION, np.array([0.3, 1.7]))
+
+    def test_non_finite_point_refused(self):
+        exp = expansion_coefficients(10.0, 30)
+        for x in (float("nan"), float("inf"), np.array([0.5, float("nan")])):
+            with pytest.raises(DomainError):
+                evaluate_scalar(exp, x)
+
+    @pytest.mark.parametrize("osc", [-220.0, 440.0, 600.0])
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (0.0, 1.1)])
+    def test_matches_interpolation_reference(self, osc, domain):
+        z = abs(osc) * (domain[1] - domain[0]) / 2.0
+        for degree in (math.ceil(z) + 96, math.ceil(z) + 200):
+            ours = expansion_coefficients(osc, degree, domain).coefficients
+            reference = _interpolation_coefficients(osc, degree, domain)
+            assert np.max(np.abs(ours - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("z", [1e-300, 1e-5, 0.5, 2.404825557695773, 37.5, 110.0])
+    def test_bessel_values_match_scipy(self, z):
+        # on (-1, 1) the phase factor is 1, so c_j = 2 i^j J_j(osc); the
+        # third z is the first zero of J_0
+        exp = expansion_coefficients(z, int(z) + 40, (-1.0, 1.0))
+        j = np.arange(exp.degree + 1)
+        bessel = (exp.coefficients * (-1j) ** j).real / 2.0
+        assert np.max(np.abs(bessel - special.jv(j, z))) <= 1e-14
+
+    @pytest.mark.parametrize("z", [1e5, 1e6])
+    def test_large_argument_identities(self, z):
+        # deep into the j ~ z transition, up to the degree limit: the series
+        # reproduces e^{i osc x} at both ends (T_j(+-1) = (+-1)^j) and the
+        # Bessel values satisfy Neumann's J_0^2 + 2 sum J_j^2 = 1
+        osc = 2.0 * z
+        exp = converged_expansion(osc, (0.0, 1.0), tol=1e-9)
+        assert z < exp.degree < z + 1000
+        c = exp.coefficients.copy()
+        c[0] *= 0.5
+        signs = (-1.0) ** np.arange(c.size)
+        assert abs(np.sum(c) - np.exp(1j * osc)) <= 1e-9
+        assert abs(np.sum(signs * c) - 1.0) <= 1e-9
+        neumann = abs(c[0]) ** 2 + 0.5 * np.sum(np.abs(c[1:]) ** 2)
+        assert neumann == pytest.approx(1.0, abs=1e-12)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -240,3 +294,46 @@ class TestConvergedExpansion:
             converged_expansion(40.0, (0.0, 1e308))
         with pytest.raises(AccuracyError, match="exceeds the limit"):
             converged_expansion(4e6, (0.0, 1.0))
+
+    def test_coefficients_beyond_the_degree_limit_raise(self):
+        # Miller's recurrence would start past e|z|/2; cheb-table exits 3 here
+        with pytest.raises(AccuracyError, match="exceeds the limit"):
+            expansion_coefficients(4e6, 300)
+
+    def test_zero_oscillation_needs_degree_zero(self):
+        exp = converged_expansion(0.0, (0.0, 1.0))
+        assert exp.degree == 0
+        assert exp.coefficients[0] == 2.0 + 0.0j
+
+    def test_invalid_arguments_are_domain_errors(self):
+        with pytest.raises(DomainError):
+            converged_expansion(10.0, (0.0, float("nan")))
+        with pytest.raises(DomainError):
+            converged_expansion(10.0, (1.0, 0.0))
+        with pytest.raises(DomainError):
+            converged_expansion(float("nan"), (0.0, 1.0))
+        for tol in (0.0, -1e-12, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                converged_expansion(10.0, (0.0, 1.0), tol=tol)
+
+    def test_tolerance_below_phase_rounding_raises(self):
+        # eps * 5000 * 1.001 = 1.11e-12 > 1e-12
+        with pytest.raises(AccuracyError, match="rounding floor"):
+            converged_expansion(5000.0, (0.0, 1.001), tol=1e-12)
+        assert converged_expansion(5000.0, (0.0, 1.001), tol=2e-12).degree > 2502
+
+    @given(
+        osc=st.floats(min_value=-3000.0, max_value=3000.0),
+        a=st.floats(min_value=-1.0, max_value=0.5),
+        b=st.floats(min_value=1.0, max_value=3.0),
+        log_tol=st.floats(min_value=-12.0, max_value=-4.0),
+    )
+    def test_tail_certifies_uniform_error(self, osc, a, b, log_tol):
+        tol = 10.0**log_tol
+        try:
+            exp = converged_expansion(osc, (a, b), tol=tol)
+        except AccuracyError:
+            return
+        xs = np.linspace(a, b, 4001)
+        err = np.max(np.abs(evaluate_scalar(exp, xs) - np.exp(1j * osc * xs)))
+        assert err <= tol + EPS * max(1.0, abs(osc) * max(abs(a), abs(b)))

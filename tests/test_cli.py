@@ -117,6 +117,7 @@ class TestConfigParsing:
             ("cheb.samples", "1"),
             ("kb.k0_mev", "0"),
             ("kb.sigma_mev", "-5"),
+            ("kb.sigma_mev", "inf"),
             ("kb.beta", "0"),
             ("kb.n_step", "0"),
             ("scan.points", "1"),
@@ -173,6 +174,12 @@ class TestEntryPoint:
     def test_requires_subcommand(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("var", ["ES_KB_SIGMA_MEV", "ES_KB_BETA"])
+    def test_non_finite_packet_setting_exits_two(self, var, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(var, "inf")
+        assert main(["kb-sweep", "--out", str(tmp_path)]) == 2
+        assert "must be positive" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -441,3 +448,23 @@ class TestModuleExecution:
         )
         assert result.returncode == 0
         assert "cheb-table: wrote" in result.stdout
+
+
+class TestChebyshevDegreeBudget:
+    """The summed Chebyshev degree of the default runs, i.e. their number of
+    semigroup applications, the paper's cost unit (a count, not a timing)."""
+
+    @pytest.mark.parametrize("command,budget", [("t-scan", 7400), ("kb-sweep", 6100)])
+    def test_default_run_degree_sum(self, command, budget, tmp_path, monkeypatch, capsys):
+        degrees = []
+        converged = euscat.kato_birman.converged_expansion
+
+        def counting(*args, **kwargs):
+            expansion = converged(*args, **kwargs)
+            degrees.append(expansion.degree)
+            return expansion
+
+        monkeypatch.setattr(euscat.kato_birman, "converged_expansion", counting)
+        assert main([command, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert degrees and sum(degrees) <= budget

@@ -313,6 +313,17 @@ class TestConfigAndHelpers:
         with pytest.raises(ConfigError):
             KBConfig(sigma=-10.0)
 
+    def test_kbconfig_refuses_non_finite_values(self):
+        for field in ("beta", "beta_x", "sigma"):
+            for value in (float("inf"), float("nan")):
+                with pytest.raises(ConfigError, match=field):
+                    KBConfig(**{field: value})
+
+    def test_packet_grid_spec_refuses_bad_beta(self):
+        for beta in (-1e-3, 0.0, float("inf"), float("nan")):
+            with pytest.raises(DomainError, match="beta"):
+                packet_grid_spec(500.0, 50.0, 10, beta)
+
     def test_beta_for_scaling(self):
         assert beta_for(1000.0, MODEL.mass, 0.5) == pytest.approx(
             0.5 * MODEL.mass / 1e6, rel=1e-14
