@@ -27,9 +27,10 @@ analytic derivatives, so that the differentiation layer is exercised too.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import erfcx
@@ -67,15 +68,31 @@ class EuclideanTestFunction:
     cut_sigmas: float = 6.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.tau_center):
+            raise DomainError(f"tau_center must be finite, got {self.tau_center}")
         if not (self.tau_width > 0 and math.isfinite(self.tau_width)):
             raise DomainError(f"tau_width must be positive, got {self.tau_width}")
         if not (self.space_width > 0 and math.isfinite(self.space_width)):
             raise DomainError(f"space_width must be positive, got {self.space_width}")
         if not (self.cut_sigmas >= 1):
             raise DomainError(f"cut_sigmas must be >= 1, got {self.cut_sigmas}")
-        object.__setattr__(self, "momentum", tuple(float(x) for x in self.momentum))
-        object.__setattr__(self, "center", tuple(float(x) for x in self.center))
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
+        momentum = tuple(map(float, self.momentum))
+        center = tuple(map(float, self.center))
+        amplitude = complex(self.amplitude)
+        object.__setattr__(self, "momentum", momentum)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "amplitude", amplitude)
+        for name, parts in (
+            ("momentum", momentum),
+            ("center", center),
+            ("amplitude", (amplitude,)),
+        ):
+            if not all(map(cmath.isfinite, parts)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        if len(momentum) != 3 or len(center) != 3:
+            raise DomainError(
+                f"momentum and center must be 3-vectors, got {momentum}, {center}"
+            )
 
     @property
     def is_positive_time(self) -> bool:
@@ -154,10 +171,74 @@ class ClusterReport:
 
 # The radial grid starts from _BASE_POINTS per peak panel; every panel is
 # doubled until two successive resolutions agree to _TOL relative, for at
-# most _MAX_REFINEMENTS doublings.
-_BASE_POINTS = 160
+# most _MAX_REFINEMENTS doublings.  No panel takes more than _MAX_PANEL_NODES
+# nodes: roots_legendre grows faster than linearly in the order.
+_BASE_POINTS = 80
 _TOL = 1e-10
 _MAX_REFINEMENTS = 7
+_MAX_PANEL_NODES = 30000
+
+
+class _Pairs(NamedTuple):
+    """Constants of a batch of (bra, ket) pairs, one row per pair.
+
+    ``edges`` holds 0, lo, hi and top of the three radial panels around the
+    peak, ``counts`` the node count of each panel at the base resolution (0
+    when the peak is too close to 0 for a panel below it).  ``kappa`` is the
+    prefactor of the radial integral, S, w_tilde and const the coefficients
+    of its integrand, and the last three the time widths and the difference
+    of the time centers.
+    """
+
+    kappa: np.ndarray
+    edges: np.ndarray
+    counts: np.ndarray
+    S: np.ndarray
+    w_tilde: np.ndarray
+    const: np.ndarray
+    bra_width: np.ndarray
+    ket_width: np.ndarray
+    d: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "_Pairs":
+        return _Pairs(*(field[rows] for field in self))
+
+
+def _pairs(bras, kets) -> _Pairs:
+    """Peak-centered panels with oscillation-aware node counts, and the pair
+    constants of the radial integrand, for each (bra, ket) pair."""
+
+    def fields(fns):
+        return (
+            np.array([fn.tau_center for fn in fns], dtype=float),
+            np.array([fn.tau_width for fn in fns], dtype=float),
+            np.array([fn.space_width for fn in fns], dtype=float),
+            np.array([fn.momentum for fn in fns], dtype=float).reshape(-1, 3),
+            np.array([fn.center for fn in fns], dtype=float).reshape(-1, 3),
+            np.array([fn.amplitude for fn in fns], dtype=complex),
+        )
+
+    tb, stb, sxb, pb, cb, ab = fields(bras)
+    tk, stk, sxk, pk, ck, ak = fields(kets)
+    S = sxb**2 + sxk**2
+    vr = pb * sxb[:, None] ** 2 + pk * sxk[:, None] ** 2
+    vi = cb - ck
+    sigma_p = 1.0 / np.sqrt(S)
+    peak = np.sqrt(np.sum(vr * vr, axis=1)) / S
+    osc = np.sqrt(np.sum(vi * vi, axis=1))
+    lo = np.maximum(0.0, peak - 12.0 * sigma_p)
+    edges = np.stack(
+        [np.zeros_like(lo), lo, peak + 12.0 * sigma_p, peak + 30.0 * sigma_p], axis=1
+    )
+    base = np.array([_BASE_POINTS // 2, _BASE_POINTS, _BASE_POINTS // 2])
+    counts = base + np.floor(osc[:, None] * np.diff(edges, axis=1) / 2.0)
+    counts[:, 0] = np.where(lo > 0.0, counts[:, 0], 0.0)
+    v = vr + 1j * vi
+    w_tilde = np.sqrt(np.sum(v * v, axis=1))
+    const = -0.5 * (sxb**2 * np.sum(pb * pb, axis=1) + sxk**2 * np.sum(pk * pk, axis=1))
+    phase = np.sum(pk * ck, axis=1) - np.sum(pb * cb, axis=1)
+    kappa = np.conj(ab) * ak * (sxb * sxk) ** 3 * np.exp(1j * phase)
+    return _Pairs(kappa, edges, counts, S, w_tilde, const, stb, stk, tb - tk)
 
 
 class CovarianceKernel:
@@ -167,13 +248,15 @@ class CovarianceKernel:
         if not (mass > 0 and math.isfinite(mass)):
             raise DomainError(f"mass must be positive and finite, got {mass}")
         self.mass = float(mass)
-        self._self_cov_cache: dict = {}
 
     # -- time factor -------------------------------------------------------
+    @staticmethod
     def _time_factor(
-        self, omega: np.ndarray, bra: EuclideanTestFunction, ket: EuclideanTestFunction
+        omega: np.ndarray, sf: np.ndarray, sg: np.ndarray, d: np.ndarray
     ) -> np.ndarray:
-        """closed form of the double time integral against e^{-omega|t-t'|}.
+        """closed form of the double time integral against e^{-omega|t-t'|},
+        with the time widths sf, sg and the center difference d given per
+        node.
 
         T = pi st_f st_g e^{-d^2/(2 s^2)} [erfcx(z-) + erfcx(z+)],
         z_-+ = (omega s^2 -+ d)/(sqrt(2) s), s^2 = st_f^2+st_g^2, d = tf-tg.
@@ -183,112 +266,108 @@ class CovarianceKernel:
         rewritten branch that exponent is always negative, so the factorsum
         never over- or underflows anywhere.
         """
-        sf, sg = bra.tau_width, ket.tau_width
         s2 = sf * sf + sg * sg
-        s = math.sqrt(s2)
-        d = bra.tau_center - ket.tau_center
-        gauss = math.exp(-d * d / (2.0 * s2))
-        half = 0.5 * s2 * omega * omega
+        s = np.sqrt(s2)
+        gauss = np.exp(-d * d / (2.0 * s2))
         total = np.zeros_like(omega)
         for sign in (-1.0, 1.0):
             z = (omega * s2 + sign * d) / (math.sqrt(2.0) * s)
             deep = z < -26.0
             total += np.where(deep, 0.0, gauss * erfcx(np.where(deep, 0.0, z)))
             if np.any(deep):
-                zd = z[deep]
-                asym = 2.0 * np.exp(half[deep] + sign * omega[deep] * d)
-                total[deep] += asym - gauss * erfcx(-zd)
+                od = omega[deep]
+                half = 0.5 * s2[deep] * od * od
+                asym = 2.0 * np.exp(half + sign * od * d[deep])
+                total[deep] += asym - gauss[deep] * erfcx(-z[deep])
         return math.pi * sf * sg * total
 
     # -- radial integrand ---------------------------------------------------
-    def _sesqui_panels(self, bra, ket):
-        """Peak-centered panels with oscillation-aware point counts, and the
-        pair constants S, w_tilde and const of the radial integrand."""
-        S = bra.space_width**2 + ket.space_width**2
-        vr = np.asarray(bra.momentum) * bra.space_width**2 + np.asarray(
-            ket.momentum
-        ) * ket.space_width**2
-        vi = np.asarray(bra.center) - np.asarray(ket.center)
-        sigma_p = 1.0 / math.sqrt(S)
-        peak = float(np.linalg.norm(vr)) / S
-        osc = float(np.linalg.norm(vi))
-        lo = max(0.0, peak - 12.0 * sigma_p)
-        hi = peak + 12.0 * sigma_p
-        top = peak + 30.0 * sigma_p
-        panels = []
-        if lo > 0.0:
-            panels.append((0.0, lo, _BASE_POINTS // 2 + int(osc * lo / 2.0)))
-        panels.append((lo, hi, _BASE_POINTS + int(osc * (hi - lo) / 2.0)))
-        panels.append((hi, top, _BASE_POINTS // 2 + int(osc * (top - hi) / 2.0)))
-        v = vr + 1j * vi
-        w_tilde = np.sqrt(complex(np.dot(v, v)))
-        const = -0.5 * (
-            bra.space_width**2 * float(np.dot(bra.momentum, bra.momentum))
-            + ket.space_width**2 * float(np.dot(ket.momentum, ket.momentum))
+    def _sesqui_at_resolution(
+        self, pairs: _Pairs, factor: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(integral, integral of the magnitude) of every pair, with
+        ``factor`` times the base node counts; the nodes of all pairs are
+        evaluated as one array."""
+        counts = pairs.counts * factor
+        widest = float(np.max(counts))
+        if widest > _MAX_PANEL_NODES:
+            raise AccuracyError(
+                f"covariance quadrature needs {widest:.0f} nodes on one panel, "
+                f"above the cap of {_MAX_PANEL_NODES}"
+            )
+        counts = counts.astype(int)
+        present = counts > 0
+        lo, hi = pairs.edges[:, :-1][present], pairs.edges[:, 1:][present]
+        p, wp = _panel_nodes(
+            list(zip(lo.tolist(), hi.tolist(), counts[present].tolist()))
         )
-        return panels, S, w_tilde, const
+        sizes = np.sum(counts, axis=1)
 
-    def _sesqui_at_resolution(self, bra, ket, panels, S, w_tilde, const, factor):
-        """(integral, integral of the magnitude) with ``factor`` times the
-        panel point counts."""
-        p, wp = _panel_nodes([(a, b, int(n * factor)) for a, b, n in panels])
+        def per_node(constant: np.ndarray) -> np.ndarray:
+            return np.repeat(constant, sizes)
+
         omega = np.sqrt(p * p + self.mass * self.mass)
-        pw = p * w_tilde
-        gauss = const - 0.5 * S * p * p
+        widths = per_node(pairs.bra_width), per_node(pairs.ket_width)
+        time = self._time_factor(omega, *widths, per_node(pairs.d))
+        radial = wp * p * p / (2.0 * omega) * time
+        pw = p * per_node(pairs.w_tilde)
+        gauss = per_node(pairs.const) - 0.5 * per_node(pairs.S) * p * p
         # e^gauss sinh(pw)/pw, by its series where pw is too small to divide by
         small = np.abs(pw) < 1e-6
-        series = np.exp(gauss) * (1.0 + pw * pw / 6.0 + pw**4 / 120.0)
-        denominator = np.where(small, 1.0, 2.0 * pw)
-        quotient = (np.exp(gauss + pw) - np.exp(gauss - pw)) / denominator
-        env = np.where(small, series, quotient)
-        vals = wp * p * p / (2.0 * omega) * self._time_factor(omega, bra, ket) * env
-        return 4.0 * math.pi * np.sum(vals), 4.0 * math.pi * float(np.sum(np.abs(vals)))
-
-    def _sesqui(self, bra: EuclideanTestFunction, ket: EuclideanTestFunction) -> complex:
-        """<bra, C ket> with the bra's Fourier data conjugated."""
-        kappa = (
-            np.conj(bra.amplitude)
-            * ket.amplitude
-            * (bra.space_width * ket.space_width) ** 3
-            * np.exp(
-                1j
-                * (
-                    np.dot(ket.momentum, ket.center)
-                    - np.dot(bra.momentum, bra.center)
-                )
-            )
+        env = np.exp(gauss + pw)
+        env -= np.exp(gauss - pw)
+        env /= np.where(small, 1.0, 2.0 * pw)
+        if np.any(small):
+            ps = pw[small]
+            env[small] = np.exp(gauss[small]) * (1.0 + ps * ps / 6.0 + ps**4 / 120.0)
+        vals = radial * env
+        starts = np.cumsum(sizes) - sizes
+        return (
+            4.0 * math.pi * np.add.reduceat(vals, starts),
+            4.0 * math.pi * np.add.reduceat(np.abs(vals), starts),
         )
-        if kappa == 0:
-            return 0.0 + 0.0j
-        panels, *pair = self._sesqui_panels(bra, ket)
-        previous, _ = self._sesqui_at_resolution(bra, ket, panels, *pair, 1.0)
-        current, gap = previous, float("inf")
+
+    def _sesqui(
+        self,
+        bras: Sequence[EuclideanTestFunction],
+        kets: Sequence[EuclideanTestFunction],
+    ) -> np.ndarray:
+        """<bra, C ket> for each pair of ``bras`` and ``kets``, with the bra's
+        Fourier data conjugated.
+
+        Each pass evaluates every open pair at once; a pair closes when two
+        successive resolutions agree to _TOL, and only the others go on to
+        the next doubling.
+        """
+        pairs = _pairs(bras, kets)
+        values = np.zeros(pairs.kappa.size, dtype=complex)
+        rows = np.flatnonzero(pairs.kappa != 0)
+        if rows.size == 0:
+            return values
+        previous, _ = self._sesqui_at_resolution(pairs.take(rows), 1.0)
         for level in range(1, _MAX_REFINEMENTS + 1):
-            factor = 2.0**level
-            if factor * max(n for _, _, n in panels) > 30000:
-                break
             current, magnitude = self._sesqui_at_resolution(
-                bra, ket, panels, *pair, factor
+                pairs.take(rows), 2.0**level
             )
-            gap = abs(current - previous)
+            gap = np.abs(current - previous)
             # the magnitude term is the roundoff floor of a cancelling sum
-            if gap <= _TOL * abs(current) + 1e-13 * magnitude:
-                return complex(kappa * current)
-            previous = current
+            done = gap <= _TOL * np.abs(current) + 1e-13 * magnitude
+            values[rows[done]] = pairs.kappa[rows[done]] * current[done]
+            rows, previous = rows[~done], current[~done]
+            if rows.size == 0:
+                return values
+        change = gap[~done] / np.maximum(np.abs(previous), 1e-300)
         raise AccuracyError(
             f"covariance quadrature stalled at relative change "
-            f"{gap / max(abs(current), 1e-300):.3e} (target {_TOL:.1e})"
+            f"{np.max(change):.3e} (target {_TOL:.1e})"
         )
 
-    def _bilinear(self, x: EuclideanTestFunction, y: EuclideanTestFunction) -> complex:
-        return self._sesqui(x.conjugated(), y)
-
-    def _self_cov(self, f: EuclideanTestFunction) -> complex:
-        cached = self._self_cov_cache.get(f)
-        if cached is None:
-            cached = self._bilinear(f, f)
-            self._self_cov_cache[f] = cached
-        return cached
+    def _bilinear(
+        self,
+        xs: Sequence[EuclideanTestFunction],
+        ys: Sequence[EuclideanTestFunction],
+    ) -> np.ndarray:
+        return self._sesqui([x.conjugated() for x in xs], ys)
 
 
 def covariance(
@@ -305,7 +384,7 @@ def covariance(
                 "covariance needs real-profile test functions; "
                 "one_particle_inner handles complex profiles"
             )
-    return float(kernel._bilinear(f, g).real)
+    return float(kernel._bilinear([f], [g])[0].real)
 
 
 GfArgument = Union[
@@ -322,19 +401,30 @@ def _as_combination(h: GfArgument) -> List[Tuple[float, EuclideanTestFunction]]:
     return [(float(c), fn) for c, fn in terms]
 
 
+def _gf_values(kernel: CovarianceKernel, combinations) -> List[float]:
+    """Z[h] = exp(-cov(h,h)/2) for each real combination h of real-profile
+    parts, with the term pairs of all combinations in one batch."""
+    for terms in combinations:
+        for _, fn in terms:
+            if not fn.is_real_profile:
+                raise PreconditionError(
+                    "gf_value takes real combinations of real-profile functions"
+                )
+    pairs = [(fi, fj) for terms in combinations for _, fi in terms for _, fj in terms]
+    values = iter(kernel._bilinear(*zip(*pairs)).real)
+    results = []
+    for terms in combinations:
+        quad = 0.0
+        for ci, _ in terms:
+            for cj, _ in terms:
+                quad += ci * cj * next(values)
+        results.append(math.exp(-0.5 * quad))
+    return results
+
+
 def gf_value(kernel: CovarianceKernel, h: GfArgument) -> float:
     """Z[h] = exp(-cov(h,h)/2) for a real combination of real-profile parts."""
-    terms = _as_combination(h)
-    for _, fn in terms:
-        if not fn.is_real_profile:
-            raise PreconditionError(
-                "gf_value takes real combinations of real-profile functions"
-            )
-    quad = 0.0
-    for ci, fi in terms:
-        for cj, fj in terms:
-            quad += ci * cj * kernel._bilinear(fi, fj).real
-    return math.exp(-0.5 * quad)
+    return _gf_values(kernel, [_as_combination(h)])[0]
 
 
 def _require_positive_time(fns: Sequence[EuclideanTestFunction]) -> None:
@@ -346,8 +436,12 @@ def _require_positive_time(fns: Sequence[EuclideanTestFunction]) -> None:
             )
 
 
-def _pair_terms(kernel, B, C, reflect: bool, hermitian: bool = False) -> np.ndarray:
-    """Terms conj(b_j) c_k Z[g_k - R conj(f_j)] of both inner products.
+def _pair_terms(
+    kernel, products, reflect: bool, hermitian: bool = False
+) -> List[np.ndarray]:
+    """Terms conj(b_j) c_k Z[g_k - R conj(f_j)] of the inner product of each
+    (B, C) of ``products``; the pairs of all products and the
+    self-covariances cov(f, f) of their functions go through one batch.
 
     R is the time reflection Theta when ``reflect`` (every function must
     then be positive-time) and the identity otherwise.  ``hermitian`` (for
@@ -355,33 +449,57 @@ def _pair_terms(kernel, B, C, reflect: bool, hermitian: bool = False) -> np.ndar
     conjugate mirroring, with a real diagonal, so the result is exactly
     Hermitian.
     """
+    functions = [(B.functions, C.functions) for B, C in products]
     if reflect:
-        _require_positive_time(B.functions + C.functions)
-    terms = np.zeros((len(B.functions), len(C.functions)), dtype=complex)
-    for j, (bj, fj) in enumerate(zip(B.coefficients, B.functions)):
-        bra = fj.reflected() if reflect else fj
-        for k in range(j if hermitian else 0, len(C.functions)):
-            gk = C.functions[k]
-            exponent = kernel._sesqui(bra, gk) - 0.5 * (
-                kernel._self_cov(gk) + np.conj(kernel._self_cov(fj))
+        _require_positive_time([fn for fs, gs in functions for fn in fs + gs])
+    index, bras, kets = [], [], []
+    for fs, gs in functions:
+        every = np.ones((len(fs), len(gs)), dtype=bool)
+        js, ks = np.nonzero(np.triu(every) if hermitian else every)
+        index.append((js, ks))
+        bras += [fs[j].reflected() if reflect else fs[j] for j in js]
+        kets += [gs[k] for k in ks]
+    selves = list(dict.fromkeys(fn for fs, gs in functions for fn in fs + gs))
+    values = kernel._sesqui(bras + [f.conjugated() for f in selves], kets + selves)
+    self_cov = dict(zip(selves, values[len(bras) :]))
+    results, start = [], 0
+    for (B, C), (fs, gs), (js, ks) in zip(products, functions, index):
+        exponent = values[start : start + js.size] - 0.5 * (
+            np.array([self_cov[gs[k]] for k in ks])
+            + np.conj(np.array([self_cov[fs[j]] for j in js]))
+        )
+        start += js.size
+        over = np.flatnonzero(exponent.real > _LOG_FLOAT_MAX)
+        if over.size:
+            i = over[0]
+            raise AccuracyError(
+                f"pair ({js[i]}, {ks[i]}) overflows: its exponent {exponent[i]:.6g} "
+                f"has real part above log(float max) = {_LOG_FLOAT_MAX:.2f}"
             )
-            if exponent.real > _LOG_FLOAT_MAX:
-                raise AccuracyError(
-                    f"pair ({j}, {k}) overflows: its exponent {exponent:.6g} "
-                    f"has real part above log(float max) = {_LOG_FLOAT_MAX:.2f}"
-                )
-            terms[j, k] = np.conj(bj) * C.coefficients[k] * np.exp(exponent)
-    if not hermitian:
-        return terms
-    strict = np.triu(terms, 1)
-    return strict + strict.conj().T + np.diag(terms.diagonal().real)
+        terms = np.zeros((len(fs), len(gs)), dtype=complex)
+        b, c = np.array(B.coefficients), np.array(C.coefficients)
+        terms[js, ks] = np.conj(b[js]) * c[ks] * np.exp(exponent)
+        if hermitian:
+            strict = np.triu(terms, 1)
+            terms = strict + strict.conj().T + np.diag(terms.diagonal().real)
+        results.append(terms)
+    return results
+
+
+def _physical_inners(kernel, products) -> List[complex]:
+    """<B|C> of each (B, C) of ``products``, as one batch."""
+    return [
+        complex(sum(terms.flat, 0j))
+        for terms in _pair_terms(kernel, products, reflect=True)
+    ]
 
 
 def euclidean_inner(
     kernel: CovarianceKernel, B: WaveFunctional, C: WaveFunctional
 ) -> complex:
     """(B, C) = sum sum conj(b_j) c_k Z[g_k - conj(f_j)]."""
-    return complex(sum(_pair_terms(kernel, B, C, reflect=False).flat, 0j))
+    (terms,) = _pair_terms(kernel, [(B, C)], reflect=False)
+    return complex(sum(terms.flat, 0j))
 
 
 def physical_inner(
@@ -392,14 +510,21 @@ def physical_inner(
     Every test function of both functionals must have positive-time support;
     this is what makes the quadratic form positive semidefinite.
     """
-    return complex(sum(_pair_terms(kernel, B, C, reflect=True).flat, 0j))
+    return _physical_inners(kernel, [(B, C)])[0]
 
 
 def time_translate(B: WaveFunctional, beta: float) -> WaveFunctional:
     """e^{-beta H} |B>: shifts every time center forward by beta >= 0."""
-    if beta < 0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
+    if not (0 <= beta < math.inf):
+        raise DomainError(f"beta must be finite and >= 0, got {beta}")
     return B.time_shifted(beta)
+
+
+def _one_particle_inners(kernel, pairs) -> List[complex]:
+    """<f|g> of each (f, g) of ``pairs``, as one batch."""
+    _require_positive_time([fn for pair in pairs for fn in pair])
+    values = kernel._sesqui([f.reflected() for f, _ in pairs], [g for _, g in pairs])
+    return [complex(value) for value in values]
 
 
 def one_particle_inner(
@@ -411,22 +536,28 @@ def one_particle_inner(
     sesquilinear two-point reduction of the physical product and the cleanest
     probe of the energy-momentum spectrum.
     """
-    _require_positive_time((f, g))
-    return kernel._sesqui(f.reflected(), g)
+    return _one_particle_inners(kernel, [(f, g)])[0]
 
 
 # -- finite differences ----------------------------------------------------
 
 
-def _richardson(F: Callable[[float], complex], h: float, f0=None) -> FDResult:
-    """Central difference of F at 0 with steps h and h/2, Richardson-combined:
-    the first derivative, or the second when the center value f0 is given."""
+def _steps(h: float) -> Tuple[float, float, float, float]:
+    """The steps of one Richardson stencil."""
+    return h, -h, h / 2, -h / 2
+
+
+def _richardson(values: Sequence[complex], h: float, f0=None) -> FDResult:
+    """Central difference at 0 of F, given at the steps ``_steps(h)``, with
+    steps h and h/2, Richardson-combined: the first derivative, or the
+    second when the center value f0 is given."""
+    plus, minus, half_plus, half_minus = values
     if f0 is None:
-        coarse = (F(h) - F(-h)) / (2.0 * h)
-        fine = (F(h / 2) - F(-h / 2)) / h
+        coarse = (plus - minus) / (2.0 * h)
+        fine = (half_plus - half_minus) / h
     else:
-        coarse = (F(h) - 2.0 * f0 + F(-h)) / (h * h)
-        fine = (F(h / 2) - 2.0 * f0 + F(-h / 2)) / (h * h / 4.0)
+        coarse = (plus - 2.0 * f0 + minus) / (h * h)
+        fine = (half_plus - 2.0 * f0 + half_minus) / (h * h / 4.0)
     return FDResult((4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0)
 
 
@@ -447,30 +578,33 @@ def _test_functions(x) -> Tuple[EuclideanTestFunction, ...]:
 
 def _generator(generator: str, kernel, inner, time_shift, bra, ket) -> FDResult:
     """<bra|G|ket> for G = "H", "P" or "M2" as Richardson-extrapolated central
-    differences of ``inner`` under group translations; ``time_shift(x, s)``
-    moves x forward in Euclidean time by s."""
+    differences of an inner product under group translations;
+    ``inner(kernel, pairs)`` evaluates it for a list of (bra, ket) pairs, and
+    the points of all stencils of one element go through one call.
+    ``time_shift(x, s)`` moves x forward in Euclidean time by s."""
     fns = _test_functions(bra) + _test_functions(ket)
-
-    def in_time(s: float) -> complex:
-        return inner(kernel, bra, time_shift(ket, s))
-
     if generator == "H":
-        part = _richardson(in_time, _time_step(kernel, fns, 0.02))
+        h = _time_step(kernel, fns, 0.02)
+        values = inner(kernel, [(bra, time_shift(ket, s)) for s in _steps(h)])
+        part = _richardson(values, h)
         return FDResult(-part.value, part.error)
     if generator == "P":
         h = 0.02 / _omega_estimate(kernel, fns)
-        parts = [
-            _richardson(lambda s: inner(kernel, bra.translated(s * axis), ket), h)
-            for axis in np.eye(3)
-        ]
-        values = np.array([-1j * part.value for part in parts])
-        return FDResult(values, float(np.max([part.error for part in parts])))
+        values = inner(
+            kernel,
+            [(bra.translated(s * axis), ket) for axis in np.eye(3) for s in _steps(h)],
+        )
+        parts = [_richardson(values[i : i + 4], h) for i in range(0, 12, 4)]
+        momenta = np.array([-1j * part.value for part in parts])
+        return FDResult(momenta, float(np.max([part.error for part in parts])))
     h = _time_step(kernel, fns, 0.07)
-    f0 = inner(kernel, bra, ket)
-    parts = [_richardson(in_time, h, f0)] + [
-        _richardson(lambda s: inner(kernel, bra, ket.translated(s * axis)), h, f0)
-        for axis in np.eye(3)
-    ]
+    f0, *values = inner(
+        kernel,
+        [(bra, ket)]
+        + [(bra, time_shift(ket, s)) for s in _steps(h)]
+        + [(bra, ket.translated(s * axis)) for axis in np.eye(3) for s in _steps(h)],
+    )
+    parts = [_richardson(values[i : i + 4], h, f0) for i in range(0, 16, 4)]
     value = sum((part.value for part in parts[1:]), parts[0].value)
     return FDResult(value, max(part.error for part in parts))
 
@@ -479,7 +613,7 @@ def hamiltonian_element(
     kernel: CovarianceKernel, B: WaveFunctional, C: WaveFunctional
 ) -> FDResult:
     """<B|H|C> = -d/dbeta <B|C_beta> at beta=0, Richardson-extrapolated."""
-    return _generator("H", kernel, physical_inner, WaveFunctional.time_shifted, B, C)
+    return _generator("H", kernel, _physical_inners, WaveFunctional.time_shifted, B, C)
 
 
 def momentum_element(
@@ -490,14 +624,14 @@ def momentum_element(
     The bra is the translated side; with ket translation the same formula
     would produce the opposite sign for plane-wave momenta.
     """
-    return _generator("P", kernel, physical_inner, WaveFunctional.time_shifted, B, C)
+    return _generator("P", kernel, _physical_inners, WaveFunctional.time_shifted, B, C)
 
 
 def mass_squared_element(
     kernel: CovarianceKernel, B: WaveFunctional, C: WaveFunctional
 ) -> FDResult:
     """<B|M^2|C> = (d^2/dbeta^2 + Laplacian_a) <B|C_{beta,a}> at zero."""
-    return _generator("M2", kernel, physical_inner, WaveFunctional.time_shifted, B, C)
+    return _generator("M2", kernel, _physical_inners, WaveFunctional.time_shifted, B, C)
 
 
 _shifted_in_time = EuclideanTestFunction.shifted_in_time
@@ -506,19 +640,19 @@ _shifted_in_time = EuclideanTestFunction.shifted_in_time
 def one_particle_hamiltonian(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> FDResult:
-    return _generator("H", kernel, one_particle_inner, _shifted_in_time, f, g)
+    return _generator("H", kernel, _one_particle_inners, _shifted_in_time, f, g)
 
 
 def one_particle_momentum(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> FDResult:
-    return _generator("P", kernel, one_particle_inner, _shifted_in_time, f, g)
+    return _generator("P", kernel, _one_particle_inners, _shifted_in_time, f, g)
 
 
 def one_particle_mass_squared(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> FDResult:
-    return _generator("M2", kernel, one_particle_inner, _shifted_in_time, f, g)
+    return _generator("M2", kernel, _one_particle_inners, _shifted_in_time, f, g)
 
 
 # -- cluster decomposition ---------------------------------------------------
@@ -539,14 +673,13 @@ def cluster_check(
     dists = np.asarray(list(distances), dtype=float)
     if dists.size < 3:
         raise ConfigError("need at least 3 distances to fit a decay rate")
+    if not np.all(np.isfinite(dists)):
+        raise ConfigError(f"distances must be finite, got {dists.tolist()}")
     if np.any(np.diff(dists) <= 0) or dists[0] <= 0:
         raise ConfigError("distances must be positive and strictly ascending")
-    zf = gf_value(kernel, f)
-    zg = gf_value(kernel, g)
-    deviations = np.empty(dists.size)
-    for i, a in enumerate(dists):
-        joint = gf_value(kernel, [(1.0, f), (1.0, g.translated((a, 0.0, 0.0)))])
-        deviations[i] = abs(joint - zf * zg)
+    joints = [[(1.0, f), (1.0, g.translated((a, 0.0, 0.0)))] for a in dists]
+    zf, zg, *joint = _gf_values(kernel, [[(1.0, f)], [(1.0, g)]] + joints)
+    deviations = np.abs(np.array(joint) - zf * zg)
     if np.any(deviations <= 0):
         raise AccuracyError("cluster deviation underflowed; separations too large")
     design = np.column_stack([np.ones(dists.size), -dists, -np.log(dists)])
@@ -630,21 +763,27 @@ def random_test_functions(
     """
     if normalize not in ("physical", "euclidean"):
         raise ValueError(f"unknown normalization {normalize!r}")
-    fns = []
+    raws, scales = [], []
     for _ in range(count):
         tau_width = rng.uniform(0.0012, 0.0025)
-        raw = EuclideanTestFunction(
-            tau_center=tau_width * rng.uniform(7.5, 11.0),
-            tau_width=tau_width,
-            space_width=rng.uniform(0.02, 0.06),
-            momentum=tuple(40.0 * rng.standard_normal(3)),
-            center=tuple(0.01 * rng.uniform(-1.0, 1.0, 3)),
+        raws.append(
+            EuclideanTestFunction(
+                tau_center=tau_width * rng.uniform(7.5, 11.0),
+                tau_width=tau_width,
+                space_width=rng.uniform(0.02, 0.06),
+                momentum=tuple(40.0 * rng.standard_normal(3)),
+                center=tuple(0.01 * rng.uniform(-1.0, 1.0, 3)),
+            )
         )
-        bra = raw.reflected() if normalize == "physical" else raw
-        norm = math.sqrt(kernel._sesqui(bra, raw).real)
         phase = complex(np.exp(2j * math.pi * rng.uniform()))
-        fns.append(raw.scaled(rng.uniform(0.5, 1.0) * phase / norm))
-    return fns
+        scales.append(rng.uniform(0.5, 1.0) * phase)
+    # no draw depends on a norm, so the norms come after the draws, in one batch
+    bras = [raw.reflected() for raw in raws] if normalize == "physical" else raws
+    norms = kernel._sesqui(bras, raws).real
+    return [
+        raw.scaled(scale / math.sqrt(norm))
+        for raw, scale, norm in zip(raws, scales, norms)
+    ]
 
 
 def cluster_probe_pair(
@@ -669,7 +808,7 @@ def physical_gram(
 ) -> np.ndarray:
     """Gram matrix <e^{i phi(f_i)} | e^{i phi(f_j)}> of the physical product."""
     ones = WaveFunctional((1.0,) * len(fns), fns)
-    return _pair_terms(kernel, ones, ones, reflect=True, hermitian=True)
+    return _pair_terms(kernel, [(ones, ones)], reflect=True, hermitian=True)[0]
 
 
 def euclidean_gram(
@@ -677,4 +816,4 @@ def euclidean_gram(
 ) -> np.ndarray:
     """Gram matrix of the Euclidean product (no reflection, no time condition)."""
     ones = WaveFunctional((1.0,) * len(fns), fns)
-    return _pair_terms(kernel, ones, ones, reflect=False, hermitian=True)
+    return _pair_terms(kernel, [(ones, ones)], reflect=False, hermitian=True)[0]

@@ -7,6 +7,7 @@ Self-agreement across doubled orders was 8e-13 relative.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +105,46 @@ class TestDescriptors:
         assert twice == once
         with pytest.raises(DomainError):
             time_translate(B, -0.01)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau_center", math.nan),
+            ("tau_center", -math.inf),
+            ("momentum", (math.nan, 0.0, 0.0)),
+            ("center", (0.0, math.inf, 0.0)),
+            ("amplitude", complex(math.nan, 0.0)),
+            ("amplitude", complex(1.0, math.inf)),
+        ],
+    )
+    def test_non_finite_field_is_a_domain_error(self, field, value):
+        fields = {"tau_center": 0.02, "tau_width": 0.002, "space_width": 0.05}
+        with pytest.raises(DomainError, match=field):
+            EuclideanTestFunction(**{**fields, field: value})
+
+    @pytest.mark.parametrize("field", ["momentum", "center"])
+    def test_vector_fields_must_have_three_components(self, field):
+        with pytest.raises(DomainError, match="3-vectors"):
+            EuclideanTestFunction(0.02, 0.002, 0.05, **{field: (1.0, 2.0)})
+
+    def test_nan_amplitude_never_reaches_an_inner_product(self):
+        # it used to come back from one_particle_inner as nan+nanj
+        with pytest.raises(DomainError, match="amplitude"):
+            one_particle_inner(KERNEL, SEP_F.scaled(math.nan), SEP_G)
+
+    def test_nan_momentum_is_a_domain_error(self):
+        # both used to end in a raw ValueError from int(nan) in the panel layout
+        with pytest.raises(DomainError, match="momentum"):
+            standard_test_function(math.nan)
+        with pytest.raises(DomainError, match="momentum"):
+            dispersion_scan(KERNEL, [math.nan])
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_time_translate_refuses_non_finite_beta(self, beta):
+        # inf used to end in "stalled at relative change nan"; nan passed beta < 0
+        B = WaveFunctional((1.0,), (real_lump(),))
+        with pytest.raises(DomainError, match="beta"):
+            time_translate(B, beta)
 
 
 class TestCovariance:
@@ -220,6 +261,87 @@ class TestGeneratingFunctional:
             cluster_check(KERNEL, f, g, [0.01, 0.02])
         with pytest.raises(ConfigError):
             cluster_check(KERNEL, f, g, [0.02, 0.01, 0.03])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cluster_distances_must_be_finite(self, bad):
+        # they used to pass the ordering checks and surface as a
+        # PreconditionError about real combinations
+        f, g = cluster_probe_pair(KERNEL)
+        with pytest.raises(ConfigError, match="finite"):
+            cluster_check(KERNEL, f, g, [0.01, 0.02, bad])
+        with pytest.raises(ConfigError, match="finite"):
+            cluster_check(KERNEL, f, g, [bad, 0.02, 0.03])
+
+    def test_panel_above_the_node_cap_raises_before_any_pass(self):
+        # the base panels of this pair hold over 36000 and 54000 nodes; a
+        # check made only before doublings spent minutes in roots_legendre
+        f, g = cluster_probe_pair(KERNEL)
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match=r"needs \d+ nodes on one panel"):
+            gf_value(KERNEL, [(1.0, f), (1.0, g.translated((20.0, 0.0, 0.0)))])
+        assert time.perf_counter() - start < 2.0
+
+
+class TestBatchCore:
+    """CovarianceKernel._sesqui evaluates many pairs per pass."""
+
+    @staticmethod
+    def mixed_pairs():
+        fns = random_test_functions(KERNEL, np.random.default_rng(3), 3)
+        boosted = standard_test_function(800.0)
+        far = real_lump().translated((0.03, 0.0, 0.0))
+        bras = [SEP_F.reflected(), boosted.reflected(), fns[0].reflected(),
+                fns[1].conjugated(), real_lump(amp=0.0), real_lump()]
+        kets = [SEP_G, boosted, fns[2], fns[1], real_lump(), far]
+        return bras, kets
+
+    @staticmethod
+    def record_passes(monkeypatch):
+        """Patch the pass to record (pair count, node count, factor) per call."""
+        passes = []
+        original = CovarianceKernel._sesqui_at_resolution
+
+        def recording(self, pairs, factor):
+            nodes = int(np.sum((pairs.counts * factor).astype(int)))
+            passes.append((pairs.kappa.size, nodes, factor))
+            return original(self, pairs, factor)
+
+        monkeypatch.setattr(CovarianceKernel, "_sesqui_at_resolution", recording)
+        return passes
+
+    def test_pair_in_a_mixed_batch_equals_the_pair_alone(self):
+        bras, kets = self.mixed_pairs()
+        batch = KERNEL._sesqui(bras, kets)
+        assert batch[4] == 0
+        for i, (bra, ket) in enumerate(zip(bras, kets)):
+            (alone,) = KERNEL._sesqui([bra], [ket])
+            assert abs(batch[i] - alone) <= 1e-15 * abs(alone)
+
+    def test_only_failing_pairs_go_on_to_the_next_pass(self, monkeypatch):
+        monkeypatch.setattr(euclidean_gf, "_BASE_POINTS", 16)
+        bras, kets = self.mixed_pairs()
+        passes = self.record_passes(monkeypatch)
+        needed = []
+        for bra, ket in zip(bras, kets):
+            passes.clear()
+            KERNEL._sesqui([bra], [ket])
+            needed.append(len(passes))
+        passes.clear()
+        KERNEL._sesqui(bras, kets)
+        # the zero-amplitude pair needs no pass; every other one stays in
+        # the batch exactly until it has converged on its own schedule
+        assert needed[4] == 0 and max(needed) > min(n for n in needed if n)
+        expected = [sum(n > level for n in needed) for level in range(max(needed))]
+        assert [size for size, _, _ in passes] == expected
+
+    def test_gram_node_count_is_pinned(self, monkeypatch):
+        # 80 base points per peak panel: two passes, the second at 160; 160
+        # base points evaluate 31908 nodes on this Gram
+        fns = random_test_functions(KERNEL, np.random.default_rng(2024), 8)
+        passes = self.record_passes(monkeypatch)
+        physical_gram(KERNEL, fns)
+        assert [factor for _, _, factor in passes] == [1.0, 2.0]
+        assert sum(nodes for _, nodes, _ in passes) == 16068
 
 
 class TestInnerProducts:
