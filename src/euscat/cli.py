@@ -200,10 +200,10 @@ def cmd_gf_report(cfg: RunConfig, out_dir: Path) -> None:
 
 
 _COMMANDS = {
-    "cheb-table": cmd_cheb_table,
-    "kb-sweep": cmd_kb_sweep,
-    "t-scan": cmd_t_scan,
-    "gf-report": cmd_gf_report,
+    "cheb-table": (cmd_cheb_table, "polynomial phase-approximation error table"),
+    "kb-sweep": (cmd_kb_sweep, "S-matrix overlap convergence sweep in n"),
+    "t-scan": (cmd_t_scan, "sharp amplitude extraction over a momentum scan"),
+    "gf-report": (cmd_gf_report, "Gram spectrum, dispersion, and cluster-decay tables"),
 }
 
 
@@ -217,26 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scattering and Euclidean-reconstruction experiments, as CSV.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "cheb-table",
-        parents=[common],
-        help="polynomial phase-approximation error table",
-    )
-    sub.add_parser(
-        "kb-sweep",
-        parents=[common],
-        help="S-matrix overlap convergence sweep in n",
-    )
-    sub.add_parser(
-        "t-scan",
-        parents=[common],
-        help="sharp amplitude extraction over a momentum scan",
-    )
-    sub.add_parser(
-        "gf-report",
-        parents=[common],
-        help="Gram spectrum, dispersion, and cluster-decay tables",
-    )
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -254,7 +236,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = resolve_config(args.config, os.environ, flags)
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out_dir)
+        _COMMANDS[args.command][0](cfg, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ the time double integral has a closed form in scaled complementary error
 functions and the angular momentum integral collapses to sinh(pw)/(pw) with a
 complex w, so one adaptive radial quadrature evaluates every inner product.
 The support cut is bookkeeping only: evaluating the uncut Gaussians instead
-changes results by under 1e-9 relative (the cut sits >= 6 widths out) while
+changes results by under 1e-9 relative (the cut sits 6 widths out) while
 keeping every structural identity of a genuine covariance exact.
 
 All physical-sector positivity, contraction, Hermiticity, dispersion and
@@ -42,6 +42,9 @@ Vector3 = Tuple[float, float, float]
 
 _ZERO3: Vector3 = (0.0, 0.0, 0.0)
 
+# the hard support cut of a test function's time profile, in time widths
+_CUT_SIGMAS = 6.0
+
 
 def _as_vec(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
@@ -65,7 +68,6 @@ class EuclideanTestFunction:
     momentum: Vector3 = _ZERO3
     center: Vector3 = _ZERO3
     amplitude: complex = 1.0
-    cut_sigmas: float = 6.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.tau_center):
@@ -74,8 +76,6 @@ class EuclideanTestFunction:
             raise DomainError(f"tau_width must be positive, got {self.tau_width}")
         if not (self.space_width > 0 and math.isfinite(self.space_width)):
             raise DomainError(f"space_width must be positive, got {self.space_width}")
-        if not (self.cut_sigmas >= 1):
-            raise DomainError(f"cut_sigmas must be >= 1, got {self.cut_sigmas}")
         momentum = tuple(map(float, self.momentum))
         center = tuple(map(float, self.center))
         amplitude = complex(self.amplitude)
@@ -96,7 +96,7 @@ class EuclideanTestFunction:
 
     @property
     def is_positive_time(self) -> bool:
-        return self.tau_center - self.cut_sigmas * self.tau_width > 0.0
+        return self.tau_center - _CUT_SIGMAS * self.tau_width > 0.0
 
     @property
     def is_real_profile(self) -> bool:
@@ -144,7 +144,7 @@ class WaveFunctional:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "functions", fns)
 
-    def time_shifted(self, dt: float) -> "WaveFunctional":
+    def shifted_in_time(self, dt: float) -> "WaveFunctional":
         return WaveFunctional(
             self.coefficients, tuple(f.shifted_in_time(dt) for f in self.functions)
         )
@@ -432,7 +432,7 @@ def _require_positive_time(fns: Sequence[EuclideanTestFunction]) -> None:
         if not fn.is_positive_time:
             raise PreconditionError(
                 f"test function with tau_center={fn.tau_center} and support "
-                f"cut {fn.cut_sigmas}*{fn.tau_width} is not positive-time"
+                f"cut {_CUT_SIGMAS}*{fn.tau_width} is not positive-time"
             )
 
 
@@ -457,7 +457,8 @@ def _pair_terms(
         every = np.ones((len(fs), len(gs)), dtype=bool)
         js, ks = np.nonzero(np.triu(every) if hermitian else every)
         index.append((js, ks))
-        bras += [fs[j].reflected() if reflect else fs[j] for j in js]
+        sides = [f.reflected() for f in fs] if reflect else fs
+        bras += [sides[j] for j in js]
         kets += [gs[k] for k in ks]
     selves = list(dict.fromkeys(fn for fs, gs in functions for fn in fs + gs))
     values = kernel._sesqui(bras + [f.conjugated() for f in selves], kets + selves)
@@ -517,7 +518,7 @@ def time_translate(B: WaveFunctional, beta: float) -> WaveFunctional:
     """e^{-beta H} |B>: shifts every time center forward by beta >= 0."""
     if not (0 <= beta < math.inf):
         raise DomainError(f"beta must be finite and >= 0, got {beta}")
-    return B.time_shifted(beta)
+    return B.shifted_in_time(beta)
 
 
 def _one_particle_inners(kernel, pairs) -> List[complex]:
@@ -568,24 +569,23 @@ def _omega_estimate(kernel: CovarianceKernel, fns) -> float:
 
 def _time_step(kernel: CovarianceKernel, fns, factor: float) -> float:
     _require_positive_time(fns)
-    margin = min(fn.tau_center - fn.cut_sigmas * fn.tau_width for fn in fns)
+    margin = min(fn.tau_center - _CUT_SIGMAS * fn.tau_width for fn in fns)
     return min(factor / _omega_estimate(kernel, fns), margin / 4.0)
 
 
-def _test_functions(x) -> Tuple[EuclideanTestFunction, ...]:
-    return x.functions if isinstance(x, WaveFunctional) else (x,)
-
-
-def _generator(generator: str, kernel, inner, time_shift, bra, ket) -> FDResult:
+def _generator(generator: str, kernel, bra, ket) -> FDResult:
     """<bra|G|ket> for G = "H", "P" or "M2" as Richardson-extrapolated central
-    differences of an inner product under group translations;
-    ``inner(kernel, pairs)`` evaluates it for a list of (bra, ket) pairs, and
-    the points of all stencils of one element go through one call.
-    ``time_shift(x, s)`` moves x forward in Euclidean time by s."""
-    fns = _test_functions(bra) + _test_functions(ket)
+    differences of an inner product under group translations: the physical
+    product for wave functionals, the one-particle product for test
+    functions.  The points of all stencils of one element go through one
+    batch."""
+    if isinstance(bra, WaveFunctional):
+        inner, fns = _physical_inners, bra.functions + ket.functions
+    else:
+        inner, fns = _one_particle_inners, (bra, ket)
     if generator == "H":
         h = _time_step(kernel, fns, 0.02)
-        values = inner(kernel, [(bra, time_shift(ket, s)) for s in _steps(h)])
+        values = inner(kernel, [(bra, ket.shifted_in_time(s)) for s in _steps(h)])
         part = _richardson(values, h)
         return FDResult(-part.value, part.error)
     if generator == "P":
@@ -601,7 +601,7 @@ def _generator(generator: str, kernel, inner, time_shift, bra, ket) -> FDResult:
     f0, *values = inner(
         kernel,
         [(bra, ket)]
-        + [(bra, time_shift(ket, s)) for s in _steps(h)]
+        + [(bra, ket.shifted_in_time(s)) for s in _steps(h)]
         + [(bra, ket.translated(s * axis)) for axis in np.eye(3) for s in _steps(h)],
     )
     parts = [_richardson(values[i : i + 4], h, f0) for i in range(0, 16, 4)]
@@ -613,7 +613,7 @@ def hamiltonian_element(
     kernel: CovarianceKernel, B: WaveFunctional, C: WaveFunctional
 ) -> FDResult:
     """<B|H|C> = -d/dbeta <B|C_beta> at beta=0, Richardson-extrapolated."""
-    return _generator("H", kernel, _physical_inners, WaveFunctional.time_shifted, B, C)
+    return _generator("H", kernel, B, C)
 
 
 def momentum_element(
@@ -624,35 +624,32 @@ def momentum_element(
     The bra is the translated side; with ket translation the same formula
     would produce the opposite sign for plane-wave momenta.
     """
-    return _generator("P", kernel, _physical_inners, WaveFunctional.time_shifted, B, C)
+    return _generator("P", kernel, B, C)
 
 
 def mass_squared_element(
     kernel: CovarianceKernel, B: WaveFunctional, C: WaveFunctional
 ) -> FDResult:
     """<B|M^2|C> = (d^2/dbeta^2 + Laplacian_a) <B|C_{beta,a}> at zero."""
-    return _generator("M2", kernel, _physical_inners, WaveFunctional.time_shifted, B, C)
-
-
-_shifted_in_time = EuclideanTestFunction.shifted_in_time
+    return _generator("M2", kernel, B, C)
 
 
 def one_particle_hamiltonian(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> FDResult:
-    return _generator("H", kernel, _one_particle_inners, _shifted_in_time, f, g)
+    return _generator("H", kernel, f, g)
 
 
 def one_particle_momentum(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> FDResult:
-    return _generator("P", kernel, _one_particle_inners, _shifted_in_time, f, g)
+    return _generator("P", kernel, f, g)
 
 
 def one_particle_mass_squared(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> FDResult:
-    return _generator("M2", kernel, _one_particle_inners, _shifted_in_time, f, g)
+    return _generator("M2", kernel, f, g)
 
 
 # -- cluster decomposition ---------------------------------------------------

@@ -71,9 +71,6 @@ class WavePacket:
         """Components in the orthonormal grid basis, sqrt(w_i) k_i psi_i."""
         return np.sqrt(self.grid.weights) * self.grid.nodes * self.values
 
-    def energy_jacobian(self) -> np.ndarray:
-        return self.mass / (2.0 * self.grid.nodes)
-
 
 @dataclass(frozen=True)
 class KBConfig:
@@ -184,8 +181,7 @@ def packet_grid_spec(
         (a, b, max(40, math.ceil(abs(phase(a) - phase(b)) / 4.0) + 16))
         for a, b in zip(edges[:-1], edges[1:])
     ]
-    total = sum(p[2] for p in panels)
-    return GridSpec(points=total, k_max=k_max, panels=panels)
+    return GridSpec(panels=panels)
 
 
 def make_packet(

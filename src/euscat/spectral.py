@@ -1,9 +1,10 @@
 """Radial quadrature grids, the discretized Hamiltonian, and its semigroup.
 
-The half-line k in [0, inf) is truncated at ``k_max`` and covered by
-Gauss-Legendre panels.  Weights are plain dk weights; the k^2 measure factor
-is applied by consumers (the descriptor records this).  The Hamiltonian is
-symmetrized with square-root weights,
+The half-line k in [0, inf) is covered up to ``k_max`` by explicit
+Gauss-Legendre panels (lo, hi, count); ``k_max`` is the last panel's upper
+edge.  Weights are plain dk weights; the k^2 measure factor is applied by
+consumers (the descriptor records this).  The Hamiltonian is symmetrized
+with square-root weights,
 
     H_ij = delta_ij k_i^2/m - coupling * sqrt(w_i) k_i g(k_i) sqrt(w_j) k_j g(k_j),
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -34,18 +35,10 @@ from .model import SeparableModel, form_factor
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Parameters for :func:`build_grid`.
+    """Panel layout for :func:`build_grid`: consecutive (lo, hi, count)
+    triples that tile [0, k_max] contiguously, k_max being the last ``hi``."""
 
-    Default layout is two panels split at 278 MeV (twice the default form
-    factor range) with a quarter of the points below the split.  ``panels``
-    overrides everything else with explicit (lo, hi, count) triples that must
-    tile [0, k_max] contiguously.
-    """
-
-    points: int = 400
-    k_max: float = 6000.0
-    split: float = 278.0
-    panels: Optional[Sequence[Tuple[float, float, int]]] = None
+    panels: Sequence[Tuple[float, float, int]]
 
 
 @dataclass(frozen=True)
@@ -146,43 +139,29 @@ def _panel_nodes(
     return mid + half * x, half * w
 
 
-def build_grid(spec: GridSpec = GridSpec()) -> RadialGrid:
+def build_grid(spec: GridSpec) -> RadialGrid:
     """Gauss-Legendre grid on [0, k_max] per the panel layout in ``spec``."""
-    if not (math.isfinite(spec.k_max) and spec.k_max > 0):
-        raise ConfigError(f"k_max must be positive and finite, got {spec.k_max}")
-    if spec.panels is None:
-        if spec.points < 16:
-            raise ConfigError(f"points must be >= 16, got {spec.points}")
-        if not (0.0 < spec.split < spec.k_max):
-            raise ConfigError(
-                f"split must lie strictly inside (0, k_max), got {spec.split}"
-            )
-        n_lo = max(16, spec.points // 4)
-        panels = [
-            (0.0, spec.split, n_lo),
-            (spec.split, spec.k_max, spec.points - n_lo),
-        ]
-    else:
-        panels = [tuple(p) for p in spec.panels]
+    panels = [tuple(p) for p in spec.panels]
     if not panels:
         raise ConfigError("panels list must not be empty")
+    k_max = float(panels[-1][1])
+    if not (math.isfinite(k_max) and k_max > 0):
+        raise ConfigError(f"k_max must be positive and finite, got {k_max}")
     expected_lo = 0.0
     for lo, hi, count in panels:
         if not (lo < hi):
             raise ConfigError(f"panel ({lo}, {hi}) is not increasing")
-        if abs(lo - expected_lo) > 1e-9 * spec.k_max:
+        if abs(lo - expected_lo) > 1e-9 * k_max:
             raise ConfigError(f"panels must tile [0, k_max] contiguously; gap at {lo}")
         if int(count) < 1:
             raise ConfigError(f"panel point count must be >= 1, got {count}")
         expected_lo = hi
-    if abs(expected_lo - spec.k_max) > 1e-9 * spec.k_max:
-        raise ConfigError(f"panels end at {expected_lo}, not k_max={spec.k_max}")
     desc = "+".join(f"GL[{lo:g},{hi:g}]x{int(n)}" for lo, hi, n in panels)
     nodes, weights = _panel_nodes([(float(lo), float(hi), n) for lo, hi, n in panels])
     return RadialGrid(
         nodes=nodes,
         weights=weights,
-        k_max=float(spec.k_max),
+        k_max=k_max,
         descriptor=desc + "; plain dk weights (k^2 measure applied by consumers)",
     )
 

@@ -128,7 +128,6 @@ def test_ac4_oracle_cross_validation(capsys):
             worst_resolvent = max(worst_resolvent, abs(closed - quad) / abs(closed))
 
     spec = GridSpec(
-        k_max=3000.0,
         panels=[(0.0, 400.0, 64), (400.0, 1800.0, 512), (1800.0, 3000.0, 256)],
     )
     grid = build_grid(spec)

@@ -22,7 +22,7 @@ from euscat.chebyshev import (
 )
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from euscat.model import default_model
-from euscat.spectral import Semigroup, build_grid, diagonalize, discretize_h
+from euscat.spectral import GridSpec, Semigroup, build_grid, diagonalize, discretize_h
 
 # Reference row errors for degree 300, oscillation magnitude 220 on [0, 1]:
 # (x, err in the cosine component, err in the sine component).  Published
@@ -202,7 +202,7 @@ class _CountingSemigroup:
 
 @pytest.fixture(scope="module")
 def semigroup():
-    grid = build_grid()
+    grid = build_grid(GridSpec(panels=[(0.0, 278.0, 100), (278.0, 6000.0, 300)]))
     op = diagonalize(discretize_h(default_model(), grid))
     return Semigroup(op=op, beta=5e-4)
 

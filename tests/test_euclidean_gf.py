@@ -62,8 +62,6 @@ class TestDescriptors:
             EuclideanTestFunction(0.1, -0.01, 1.0)
         with pytest.raises(DomainError):
             EuclideanTestFunction(0.1, 0.01, 0.0)
-        with pytest.raises(DomainError):
-            EuclideanTestFunction(0.1, 0.01, 1.0, cut_sigmas=0.5)
         with pytest.raises(PreconditionError):
             WaveFunctional((1.0, 2.0), (real_lump(),))
         with pytest.raises(PreconditionError):

@@ -1,9 +1,12 @@
-"""No module of the package or of the test suite imports a name it never uses.
+"""No module of the package or of the test suite imports a name it never
+uses, and the package defines no function, method or class that nothing loads.
 
 Each module is parsed with ``ast``; an imported binding counts as used when
 its name appears anywhere else in the module as a load.  ``__init__.py``
 re-exports its imports, and ``__future__`` imports are directives, so both
-are skipped.
+are skipped.  A definition counts as used when its name is loaded, as a name
+or an attribute, anywhere in the package or the tests; dunders are called by
+Python itself, and a re-export in ``__init__.py`` is not a use.
 """
 
 import ast
@@ -15,8 +18,8 @@ import euscat
 
 PACKAGE = Path(euscat.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-MODULES += sorted(TESTS.glob("*.py"))
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = SOURCES + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -46,3 +49,33 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_definitions(package, others):
+    """Names defined in the ``package`` sources and loaded in none of
+    ``package`` and ``others``."""
+    defined, loaded = set(), set()
+    for source in package + others:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    for source in package:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    dunders = {name for name in defined if name.startswith("__") and name.endswith("__")}
+    return sorted(defined - loaded - dunders)
+
+
+def test_detects_an_unused_definition():
+    package = "class K:\n    def __repr__(self): ...\n    def m(self): ...\n"
+    package += "def used(): ...\ndef dead(): ...\n"
+    assert unused_definitions([package], ["used(); K().m"]) == ["dead"]
+
+
+def test_every_definition_is_loaded():
+    package = [path.read_text() for path in SOURCES]
+    others = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    assert unused_definitions(package, others) == []

@@ -78,7 +78,7 @@ class TestWavePacket:
         assert abs(packet_overlap(far, PACKET_1GEV)) < 1e-12
 
     def test_coverage_error_names_requirement(self):
-        grid = build_grid(GridSpec(points=64, k_max=1200.0))
+        grid = build_grid(GridSpec(panels=[(0.0, 278.0, 16), (278.0, 1200.0, 48)]))
         with pytest.raises(ConfigError) as err:
             make_packet(1000.0, 100.0, grid)
         assert "1800" in str(err.value)
@@ -120,13 +120,13 @@ class TestKBOverlap:
         assert abs(cheb - spectral) < 1e-10
 
     def test_rejects_mismatched_grids(self):
-        other = build_grid(GridSpec(points=64, k_max=6000.0))
+        other = build_grid(GridSpec(panels=[(0.0, 278.0, 16), (278.0, 6000.0, 48)]))
         psi_other = make_packet(1000.0, 100.0, other)
         with pytest.raises(PreconditionError):
             kb_s_overlap(MODEL, KBConfig(), psi_other, PACKET_1GEV)
 
     def test_rejects_mismatched_operator(self):
-        other = build_grid(GridSpec(points=64, k_max=6000.0))
+        other = build_grid(GridSpec(panels=[(0.0, 278.0, 16), (278.0, 6000.0, 48)]))
         bad_op = diagonalize(discretize_h(MODEL, other))
         with pytest.raises(PreconditionError):
             kb_s_overlap(MODEL, KBConfig(), PACKET_1GEV, PACKET_1GEV, op=bad_op)
@@ -211,7 +211,6 @@ class TestSweep:
 class TestTimeOracle:
     def test_plateau_matches_semigroup_pipeline(self):
         spec = GridSpec(
-            k_max=3000.0,
             panels=[(0.0, 400.0, 64), (400.0, 1800.0, 512), (1800.0, 3000.0, 256)],
         )
         grid = build_grid(spec)
@@ -365,7 +364,7 @@ class TestConfigAndHelpers:
 def _refined(spec: GridSpec) -> GridSpec:
     """The same panels with 1.5x the nodes on each."""
     panels = [(lo, hi, math.ceil(1.5 * count)) for lo, hi, count in spec.panels]
-    return GridSpec(k_max=spec.k_max, panels=panels)
+    return GridSpec(panels=panels)
 
 
 def _size(spec: GridSpec) -> int:

@@ -21,11 +21,11 @@ from euscat.spectral import (
 )
 
 MODEL = default_model()
-GRID = build_grid()
+GRID = build_grid(GridSpec(panels=[(0.0, 278.0, 100), (278.0, 6000.0, 300)]))
 OP = diagonalize(discretize_h(MODEL, GRID))
 
 # small setup reused by the property tests
-SMALL_GRID = build_grid(GridSpec(points=96, k_max=3000.0))
+SMALL_GRID = build_grid(GridSpec(panels=[(0.0, 278.0, 24), (278.0, 3000.0, 72)]))
 SMALL_OP = diagonalize(discretize_h(MODEL, SMALL_GRID))
 RNG = np.random.default_rng(42)
 SMALL_VEC = RNG.standard_normal(SMALL_GRID.size)
@@ -41,7 +41,7 @@ class TestGrid:
         assert abs(approx - exact) <= 1e-8 * exact
 
     def test_sixteen_points_integrate_degree_31_exactly(self):
-        grid = build_grid(GridSpec(points=16, k_max=1.0, split=0.5, panels=[(0.0, 1.0, 16)]))
+        grid = build_grid(GridSpec(panels=[(0.0, 1.0, 16)]))
         approx = np.sum(grid.weights * grid.nodes**31)
         assert approx == pytest.approx(1.0 / 32.0, rel=1e-13)
 
@@ -58,7 +58,7 @@ class TestGrid:
             GRID.weights[0] = 1.0
 
     def test_explicit_panels(self):
-        grid = build_grid(GridSpec(k_max=100.0, panels=[(0.0, 40.0, 20), (40.0, 100.0, 30)]))
+        grid = build_grid(GridSpec(panels=[(0.0, 40.0, 20), (40.0, 100.0, 30)]))
         assert grid.size == 50
         assert np.all(np.diff(grid.nodes) > 0)
         assert "GL[0,40]x20" in grid.descriptor
@@ -67,22 +67,17 @@ class TestGrid:
         assert "k^2" in GRID.descriptor
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            build_grid(GridSpec(points=8))
-        with pytest.raises(ConfigError):
-            build_grid(GridSpec(k_max=-5.0))
-        with pytest.raises(ConfigError):
-            build_grid(GridSpec(split=0.0))
-        with pytest.raises(ConfigError):
-            build_grid(GridSpec(split=7000.0))
-        with pytest.raises(ConfigError):
-            build_grid(GridSpec(k_max=10.0, panels=[(0.0, 4.0, 8), (5.0, 10.0, 8)]))
-        with pytest.raises(ConfigError):
-            build_grid(GridSpec(k_max=10.0, panels=[(0.0, 4.0, 8)]))
-        with pytest.raises(ConfigError):
-            build_grid(GridSpec(k_max=10.0, panels=[(0.0, 10.0, 0)]))
-        with pytest.raises(ConfigError):
-            build_grid(GridSpec(k_max=10.0, panels=[]))
+        for panels in (
+            [],  # empty
+            [(0.0, 4.0, 8), (5.0, 10.0, 8)],  # gap
+            [(1.0, 10.0, 8)],  # non-zero start
+            [(0.0, 4.0, 8), (4.0, 4.0, 8)],  # non-increasing panel
+            [(0.0, 10.0, 0)],  # count below 1
+            [(0.0, math.inf, 8)],  # last edge not finite
+            [(0.0, -5.0, 8)],  # last edge not positive
+        ):
+            with pytest.raises(ConfigError):
+                build_grid(GridSpec(panels=panels))
 
 
 class TestDiscretizeAndDiagonalize:
@@ -100,7 +95,8 @@ class TestDiscretizeAndDiagonalize:
         assert OP.eigenvalues[0] == pytest.approx(bound_state_energy(MODEL), abs=5e-4)
 
     def test_refinement_stability(self):
-        lo = diagonalize(discretize_h(MODEL, build_grid(GridSpec(points=200))))
+        grid = build_grid(GridSpec(panels=[(0.0, 278.0, 50), (278.0, 6000.0, 150)]))
+        lo = diagonalize(discretize_h(MODEL, grid))
         assert abs(lo.eigenvalues[0] - OP.eigenvalues[0]) <= 1e-6 * abs(OP.eigenvalues[0])
 
     def test_exactly_one_state_below_free_spectrum_and_interlacing(self):
@@ -260,7 +256,7 @@ class TestDenseSemigroup:
             matrix[0, 0] = 1.0
 
     def test_complex_application_makes_no_square_temporary(self):
-        grid = build_grid(GridSpec(points=490))
+        grid = build_grid(GridSpec(panels=[(0.0, 278.0, 122), (278.0, 6000.0, 368)]))
         op = diagonalize(discretize_h(MODEL, grid))
         sg = Semigroup(op=op, beta=5e-4)
         v = RNG.standard_normal(grid.size) + 1j * RNG.standard_normal(grid.size)
