@@ -153,8 +153,8 @@ def build_grid(spec: GridSpec) -> RadialGrid:
             raise ConfigError(f"panel ({lo}, {hi}) is not increasing")
         if abs(lo - expected_lo) > 1e-9 * k_max:
             raise ConfigError(f"panels must tile [0, k_max] contiguously; gap at {lo}")
-        if int(count) < 1:
-            raise ConfigError(f"panel point count must be >= 1, got {count}")
+        if not (math.isfinite(count) and count >= 1 and count == math.floor(count)):
+            raise ConfigError(f"panel point count must be an integer >= 1, got {count}")
         expected_lo = hi
     desc = "+".join(f"GL[{lo:g},{hi:g}]x{int(n)}" for lo, hi, n in panels)
     nodes, weights = _panel_nodes([(float(lo), float(hi), n) for lo, hi, n in panels])

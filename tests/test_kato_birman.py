@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from euscat import spectral
+from euscat.chebyshev import converged_expansion
 from euscat.config import RunConfig
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from euscat.kato_birman import (
@@ -118,6 +119,43 @@ class TestKBOverlap:
             MODEL, cfg, PACKET_1GEV, PACKET_1GEV, op=OP_1GEV, propagator="exact"
         )
         assert abs(cheb - spectral) < 1e-10
+
+    def test_half_angle_path_matches_oracle_off_the_diagonal(self):
+        cfg = KBConfig(n=250, beta=5e-4)
+        bra = make_packet(1040.0, 90.0, GRID_1GEV)
+        cheb = kb_s_overlap(MODEL, cfg, bra, PACKET_1GEV, op=OP_1GEV)
+        oracle = kb_s_overlap(
+            MODEL, cfg, bra, PACKET_1GEV, op=OP_1GEV, propagator="exact"
+        )
+        assert abs(cheb - oracle) < 1e-11
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_pass_count_is_half_degree(self, monkeypatch, primed):
+        calls = []
+        original = spectral.Semigroup.apply
+
+        def counting(self, v):
+            calls.append(1 if np.ndim(v) == 1 else v.shape[1])
+            return original(self, v)
+
+        monkeypatch.setattr(spectral.Semigroup, "apply", counting)
+        n = 250
+        bra = make_packet(1040.0, 90.0, GRID_1GEV) if primed else PACKET_1GEV
+        kb_s_overlap(MODEL, KBConfig(n=n, beta=5e-4), bra, PACKET_1GEV, op=OP_1GEV)
+        _, hi = spectral.Semigroup(OP_1GEV, 5e-4).bounds()
+        assert len(calls) == converged_expansion(n, (0.0, hi), 5e-13).degree + 1
+        assert len(calls) <= 0.6 * converged_expansion(2 * n, (0.0, hi), 1e-12).degree
+        assert set(calls) == {2 if primed else 1}
+
+    def test_rounding_floor_boundary(self):
+        # eps n hi <= 5e-13 per half-phase factor, as eps 2n hi <= 1e-12 was
+        # for the whole phase
+        with pytest.raises(AccuracyError, match="rounding floor"):
+            kb_s_overlap(
+                MODEL, KBConfig(n=2300, beta=5e-4), PACKET_1GEV, PACKET_1GEV, op=OP_1GEV
+            )
+        _, hi = spectral.Semigroup(OP_1GEV, 5e-4).bounds()
+        converged_expansion(2200, (0.0, hi), 5e-13)
 
     def test_rejects_mismatched_grids(self):
         other = build_grid(GridSpec(panels=[(0.0, 278.0, 16), (278.0, 6000.0, 48)]))

@@ -73,11 +73,15 @@ class TestGrid:
             [(1.0, 10.0, 8)],  # non-zero start
             [(0.0, 4.0, 8), (4.0, 4.0, 8)],  # non-increasing panel
             [(0.0, 10.0, 0)],  # count below 1
+            [(0.0, 10.0, 8.7)],  # fractional count
+            [(0.0, 10.0, math.nan)],  # NaN count
+            [(0.0, 10.0, math.inf)],  # infinite count
             [(0.0, math.inf, 8)],  # last edge not finite
             [(0.0, -5.0, 8)],  # last edge not positive
         ):
             with pytest.raises(ConfigError):
                 build_grid(GridSpec(panels=panels))
+        assert build_grid(GridSpec(panels=[(0.0, 10.0, 8.0)])).size == 8
 
 
 class TestDiscretizeAndDiagonalize:
