@@ -3,9 +3,9 @@
 The Hamiltonian is H = k^2/m - lambda |g><g| on the s-wave radial momentum
 half-line with measure int_0^inf dk k^2 and form factor g(k) = 1/(mpi^2 + k^2).
 Everything reduces to the resolvent matrix element of the free Hamiltonian
-between form factors, which is rational-over-sqrt in the energy and therefore
-known in closed form; an independent principal-value quadrature route is kept
-alongside as a cross-check.
+between form factors, which has Yamaguchi's closed form -pi/(4b (b+kappa)^2);
+an independent principal-value quadrature route is kept alongside as a
+cross-check.
 
 Normalization conventions, used consistently by the wave-packet pipeline:
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .errors import AccuracyError, DomainError
 
@@ -73,38 +73,16 @@ def form_factor(model: SeparableModel, k):
 
 
 def _f_closed(zp, beta: float, side: str) -> np.ndarray:
-    """F(z') = int_0^inf k^2 dk / [(k^2+beta^2)^2 (z' - k^2)] in closed form.
+    """F(z') = int_0^inf k^2 dk / [(k^2+b^2)^2 (z' - k^2)] = -pi / (4b (b+kappa)^2).
 
-    ``zp`` is real, a scalar or an array; ``side`` picks the z' +- i0
-    boundary value where zp > 0.  Partial fractions give A/(k^2+b^2) +
-    B/(k^2+b^2)^2 + C/(z'-k^2) with A = C = z'/d^2, B = -b^2/d, d = z'+b^2,
-    integrated term by term.  The individual terms blow up like 1/d^2 while F
-    stays finite, so for |d| <= b^2/4 the partial-fraction form is abandoned
-    for the expansion F = -(pi/b^3) sum_n c_n (d/b^2)^n, c_0 = 1/16,
-    c_{n+1}/c_n = (2n+3)/(2n+6), which converges geometrically there and
-    keeps the relative error near machine precision on both branches.
+    Yamaguchi's closed form (Phys. Rev. 95, 1628 (1954)), b = beta, for real
+    scalar or array ``zp``: kappa = sqrt(|z'|) for z' <= 0 and -+i sqrt(z') on
+    ``side`` "above"/"below" for z' > 0, so |b + kappa| >= b and nothing cancels.
     """
     zp = np.asarray(zp, dtype=float)
-    b2 = beta * beta
-    d = zp + b2
-    near = np.abs(d) <= 0.25 * b2
-    u = np.where(near, d / b2, 0.0)
-    term = np.full(zp.shape, 1.0 / 16.0)
-    series = term.copy()
-    for n in range(60):
-        term = term * (u * (2 * n + 3) / (2 * n + 6))
-        series += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(series)):
-            break
-    d = np.where(near, b2, d)
-    a_coef = zp / (d * d)
-    b_coef = -b2 / d
-    total = a_coef * math.pi / (2.0 * beta) + b_coef * math.pi / (4.0 * beta**3)
     root = np.sqrt(np.abs(zp))
     kappa = np.where(zp > 0.0, (-1j if side == "above" else 1j) * root, root)
-    kappa = np.where(zp == 0.0, 1.0, kappa)
-    closed = total - math.pi * zp / (2.0 * d * d * kappa)
-    return np.where(near, -(math.pi / beta**3) * series, closed)[()]
+    return (-math.pi / (4.0 * beta * (beta + kappa) ** 2))[()]
 
 
 def _radial_resolvent(model: SeparableModel, energy, side: str = "above"):
@@ -224,25 +202,18 @@ def on_shell_amplitude(model: SeparableModel, k: float) -> OnShellAmplitude:
 def bound_state_energy(model: SeparableModel) -> Optional[float]:
     """Root E < 0 of 1 + coupling*I(E) = 0, or None when no bound state exists.
 
-    I(E) is real and strictly decreasing on E < 0, so the root is unique when
-    the coupling exceeds the critical value; found by bracketing plus Brent
-    iteration to 1e-10 MeV.
+    The closed form of I makes it (b + sqrt(-m E))^2 = coupling*pi*m/(4b) with
+    b = mpi, solved without cancellation or overflow as
+    sqrt(-E) = (a - b^2/m) / (sqrt(a) + b/sqrt(m)), a = coupling*pi/(4b).
     """
-
-    def f(energy: float) -> float:
-        return 1.0 + model.coupling * _radial_resolvent(model, energy, "above").real
-
-    if f(0.0) >= 0.0:
+    b, m = model.mpi, model.mass
+    a = float(model.coupling) * (math.pi / (4.0 * b))
+    if not math.isfinite(a):
+        raise AccuracyError(f"bound state of coupling {model.coupling:g} overflows")
+    excess = a - b * b / m
+    if excess <= 0.0:
         return None
-    lo = -1.0
-    while f(lo) <= 0.0:
-        lo *= 2.0
-        if lo < -1e12:
-            raise AccuracyError(
-                f"bound state of coupling {model.coupling:g} lies below the "
-                "bracket limit E = -1e12 MeV"
-            )
-    return float(optimize.brentq(f, lo, 0.0, xtol=1e-10, rtol=8.9e-16))
+    return -((excess / (math.sqrt(a) + b / math.sqrt(m))) ** 2)
 
 
 def critical_coupling(mass: float = DEFAULT_MASS, mpi: float = DEFAULT_MPI) -> float:
@@ -260,7 +231,11 @@ def coupling_for_binding(
     if not (binding < 0.0 and math.isfinite(binding)):
         raise DomainError(f"binding energy must be negative, got {binding}")
     probe = SeparableModel(mass=mass, coupling=0.0, mpi=mpi)
-    return -1.0 / _radial_resolvent(probe, binding, "above").real
+    with np.errstate(all="ignore"):
+        coupling = -1.0 / _radial_resolvent(probe, binding, "above").real
+    if not math.isfinite(coupling):
+        raise AccuracyError(f"coupling for binding {binding:g} MeV overflows")
+    return coupling
 
 
 def default_model() -> SeparableModel:

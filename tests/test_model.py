@@ -8,6 +8,8 @@ of the defining integral (pole-subtracted for positive energy).
 """
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,8 +135,8 @@ class TestResolventElement:
             assert val.imag == 0.0
 
     def test_smooth_across_series_switchover(self):
-        # The implementation changes branch where m*E + mpi^2 = mpi^2 / 4;
-        # values on either side must agree to quadrature accuracy.
+        # Energies around m*E = -mpi^2 (1 +- 1/4), where partial fractions of
+        # the integral nearly cancel, must still agree with the quadrature.
         mod = default_model()
         b2 = mod.mpi**2
         for sign in (1.0, -1.0):
@@ -156,45 +158,26 @@ class TestResolventElement:
             resolvent_form_factor_element(mod, 1.0 + 1.0j)
 
 
-def _f_closed_scalar(zp: float, beta: float, side: str) -> complex:
-    """The scalar loop form of model._f_closed, kept as its reference."""
-    b2 = beta * beta
-    d = zp + b2
-    if abs(d) <= 0.25 * b2:
-        u = d / b2
-        term = 1.0 / 16.0
-        total = term
-        for n in range(60):
-            term *= u * (2 * n + 3) / (2 * n + 6)
-            total += term
-            if abs(term) <= 1e-17 * abs(total):
-                break
-        return -(math.pi / beta**3) * total
-    total = zp / (d * d) * math.pi / (2.0 * beta) - b2 / d * math.pi / (4.0 * beta**3)
-    if zp == 0.0:
-        return complex(total)
-    if zp > 0.0:
-        kappa = -1j * math.sqrt(zp) if side == "above" else 1j * math.sqrt(zp)
-    else:
-        kappa = complex(math.sqrt(-zp))
-    return total - math.pi * zp / (2.0 * d * d * kappa)
+def _f_reference(zp: int, beta: int, side: str) -> complex:
+    """-pi times the exact rational 1/(4b (b+kappa)^2) at an integer square z'."""
+    root = math.isqrt(abs(zp))
+    if zp <= 0:
+        return -math.pi * float(Fraction(1, 4 * beta * (beta + root) ** 2))
+    # kappa = -+ik: 1/(b -+ ik)^2 = (b^2 - k^2 +- 2ibk) / (b^2 + k^2)^2
+    scale = Fraction(1, 4 * beta * (beta * beta + zp) ** 2)
+    im = (2 if side == "above" else -2) * beta * root * scale
+    return -math.pi * complex(float((beta * beta - zp) * scale), float(im))
 
 
 class TestArrayForm:
-    def test_f_closed_matches_scalar_loop_across_the_series_switch(self):
-        b2 = DEFAULT_MPI**2
-        zp = np.concatenate(
-            [
-                np.linspace(-1.5 * b2, -0.5 * b2, 201),
-                [-5.0, 0.0, 5.0],
-                np.geomspace(1.0, 3.6e7, 60),
-            ]
-        )
-        near = np.abs(zp + b2) <= 0.25 * b2
-        assert near.any() and (~near).any()
+    def test_f_closed_matches_exact_rational_values(self):
+        # z' = -kappa^2 covers kappa near b = mpi, where partial fractions of
+        # F cancel; z' = k^2 covers both sides of the cut.
+        b = int(DEFAULT_MPI)
+        squares = [-q * q for q in range(400)] + [k * k for k in range(1, 6001)]
         for side in ("above", "below"):
-            values = _f_closed(zp, DEFAULT_MPI, side)
-            reference = np.array([_f_closed_scalar(z, DEFAULT_MPI, side) for z in zp])
+            values = _f_closed(np.array(squares, dtype=float), DEFAULT_MPI, side)
+            reference = np.array([_f_reference(z, b, side) for z in squares])
             assert np.all(np.abs(values - reference) <= 1e-14 * np.abs(reference))
 
     def test_on_shell_arrays_match_scalar_calls(self):
@@ -307,9 +290,61 @@ class TestBoundState:
         with pytest.raises(DomainError):
             coupling_for_binding(DEFAULT_MASS, 0.0)
 
-    def test_bound_state_beyond_bracket_limit_raises_typed_error(self):
-        with pytest.raises(AccuracyError, match=r"coupling 1e\+30.*-1e12 MeV"):
-            bound_state_energy(SeparableModel(DEFAULT_MASS, 1e30))
+    def test_huge_coupling_gives_a_finite_energy(self):
+        deep = bound_state_energy(SeparableModel(DEFAULT_MASS, 1e30))
+        assert deep == pytest.approx(-5.650346499e27, rel=1e-10)
+        try:
+            deepest = bound_state_energy(SeparableModel(DEFAULT_MASS, 1e308))
+        except AccuracyError:
+            return
+        assert math.isfinite(deepest) and deepest < 0.0
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_near_critical_bound_state_is_exact(self, eps):
+        # (mpi + sqrt(-m E))^2 = coupling*pi*m/(4 mpi) is the bound-state
+        # condition; it must hold to rounding even as E -> 0-.
+        lam = critical_coupling() * (1.0 + eps)
+        energy = bound_state_energy(SeparableModel(DEFAULT_MASS, lam))
+        assert energy is not None and energy < 0.0
+        lhs = (DEFAULT_MPI + math.sqrt(-DEFAULT_MASS * energy)) ** 2
+        rhs = lam * math.pi * DEFAULT_MASS / (4.0 * DEFAULT_MPI)
+        assert abs(lhs - rhs) <= 1e-14 * rhs
+
+    @pytest.mark.parametrize("binding", [-1e-6, -1e-3, -0.5, -2.2246, -30.0, -1e3])
+    def test_coupling_for_binding_roundtrip_tight(self, binding):
+        lam = coupling_for_binding(DEFAULT_MASS, binding, DEFAULT_MPI)
+        energy = bound_state_energy(SeparableModel(DEFAULT_MASS, lam))
+        assert energy == pytest.approx(binding, rel=1e-11)
+
+    def test_coupling_for_extreme_bindings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(coupling_for_binding(DEFAULT_MASS, -1e300))
+            # The coupling, about 1.8e309, exceeds the float range.
+            with pytest.raises(AccuracyError, match="overflows"):
+                coupling_for_binding(DEFAULT_MASS, -1e307)
+
+    @pytest.mark.parametrize(
+        "coupling, mpi",
+        [
+            (0.0, DEFAULT_MPI),
+            (-5000.0, DEFAULT_MPI),
+            (critical_coupling(), DEFAULT_MPI),
+            (1e6, DEFAULT_MPI),
+            (1e308, DEFAULT_MPI),
+            (1e308, 1e-3),
+        ],
+    )
+    def test_bound_state_edge_contract(self, coupling, mpi):
+        # Any finite coupling gives None, a finite negative energy, or a
+        # typed error; never NaN, +-inf or a "bound state" at E = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                energy = bound_state_energy(SeparableModel(DEFAULT_MASS, coupling, mpi))
+            except AccuracyError:
+                return
+        assert energy is None or (math.isfinite(energy) and energy < 0.0)
 
 
 class TestModelBasics:
