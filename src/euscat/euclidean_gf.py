@@ -185,9 +185,10 @@ class _Pairs(NamedTuple):
     ``edges`` holds 0, lo, hi and top of the three radial panels around the
     peak, ``counts`` the node count of each panel at the base resolution (0
     when the peak is too close to 0 for a panel below it).  ``kappa`` is the
-    prefactor of the radial integral, S, w_tilde and const the coefficients
-    of its integrand, and the last three the time widths and the difference
-    of the time centers.
+    prefactor of the radial integral, including the angular 4 pi and the
+    time factor's pi st_f st_g; S, w_tilde and const are the coefficients of
+    its integrand, s2 = st_f^2 + st_g^2 and gap = |t_f - t_g| the arguments
+    of the time factor.
     """
 
     kappa: np.ndarray
@@ -196,9 +197,8 @@ class _Pairs(NamedTuple):
     S: np.ndarray
     w_tilde: np.ndarray
     const: np.ndarray
-    bra_width: np.ndarray
-    ket_width: np.ndarray
-    d: np.ndarray
+    s2: np.ndarray
+    gap: np.ndarray
 
     def take(self, rows: np.ndarray) -> "_Pairs":
         return _Pairs(*(field[rows] for field in self))
@@ -238,7 +238,9 @@ def _pairs(bras, kets) -> _Pairs:
     const = -0.5 * (sxb**2 * np.sum(pb * pb, axis=1) + sxk**2 * np.sum(pk * pk, axis=1))
     phase = np.sum(pk * ck, axis=1) - np.sum(pb * cb, axis=1)
     kappa = np.conj(ab) * ak * (sxb * sxk) ** 3 * np.exp(1j * phase)
-    return _Pairs(kappa, edges, counts, S, w_tilde, const, stb, stk, tb - tk)
+    kappa *= 4.0 * math.pi**2 * stb * stk
+    s2 = stb**2 + stk**2
+    return _Pairs(kappa, edges, counts, S, w_tilde, const, s2, np.abs(tb - tk))
 
 
 class CovarianceKernel:
@@ -251,35 +253,23 @@ class CovarianceKernel:
 
     # -- time factor -------------------------------------------------------
     @staticmethod
-    def _time_factor(
-        omega: np.ndarray, sf: np.ndarray, sg: np.ndarray, d: np.ndarray
-    ) -> np.ndarray:
-        """closed form of the double time integral against e^{-omega|t-t'|},
-        with the time widths sf, sg and the center difference d given per
-        node.
+    def _time_factor(omega: np.ndarray, s2: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """T = 2 int e^{-omega|u|} N(u; gap, s2) du per node: the double time
+        integral against e^{-omega|t-t'|}, over pi st_f st_g.
 
-        T = pi st_f st_g e^{-d^2/(2 s^2)} [erfcx(z-) + erfcx(z+)],
-        z_-+ = (omega s^2 -+ d)/(sqrt(2) s), s^2 = st_f^2+st_g^2, d = tf-tg.
-        erfcx overflows below about z = -26, so that region is rewritten via
-        erfcx(z) = 2 e^{z^2} - erfcx(-z) with the combined exponent
-        z^2 - d^2/(2 s^2) = omega^2 s^2/2 -+ omega d formed directly; in the
-        rewritten branch that exponent is always negative, so the factorsum
-        never over- or underflows anywhere.
+        With z-+ = (omega s2 -+ gap)/sqrt(2 s2), so that z+ >= 0,
+        T = e^{-gap^2/(2 s2)} [erfcx(z+) +- erfcx(|z-|)] + 2 [z- < 0] e^{E},
+        E = omega (omega s2/2 - gap), the minus and the last term exactly when
+        z- < 0: erfcx(z-) = 2 e^{z-^2} - erfcx(|z-|) there, and E < 0.  The
+        clamp of E at 0 elsewhere only keeps an unused exponential finite.
         """
-        s2 = sf * sf + sg * sg
-        s = np.sqrt(s2)
-        gauss = np.exp(-d * d / (2.0 * s2))
-        total = np.zeros_like(omega)
-        for sign in (-1.0, 1.0):
-            z = (omega * s2 + sign * d) / (math.sqrt(2.0) * s)
-            deep = z < -26.0
-            total += np.where(deep, 0.0, gauss * erfcx(np.where(deep, 0.0, z)))
-            if np.any(deep):
-                od = omega[deep]
-                half = 0.5 * s2[deep] * od * od
-                asym = 2.0 * np.exp(half + sign * od * d[deep])
-                total[deep] += asym - gauss[deep] * erfcx(-z[deep])
-        return math.pi * sf * sg * total
+        root = np.sqrt(2.0 * s2)
+        z_minus = (omega * s2 - gap) / root
+        below = z_minus < 0.0
+        tails = erfcx((omega * s2 + gap) / root)
+        tails += np.where(below, -1.0, 1.0) * erfcx(np.abs(z_minus))
+        folded = np.exp(np.minimum(omega * (0.5 * omega * s2 - gap), 0.0))
+        return np.exp(-gap * gap / (2.0 * s2)) * tails + 2.0 * below * folded
 
     # -- radial integrand ---------------------------------------------------
     def _sesqui_at_resolution(
@@ -307,25 +297,17 @@ class CovarianceKernel:
             return np.repeat(constant, sizes)
 
         omega = np.sqrt(p * p + self.mass * self.mass)
-        widths = per_node(pairs.bra_width), per_node(pairs.ket_width)
-        time = self._time_factor(omega, *widths, per_node(pairs.d))
+        time = self._time_factor(omega, per_node(pairs.s2), per_node(pairs.gap))
         radial = wp * p * p / (2.0 * omega) * time
         pw = p * per_node(pairs.w_tilde)
         gauss = per_node(pairs.const) - 0.5 * per_node(pairs.S) * p * p
-        # e^gauss sinh(pw)/pw, by its series where pw is too small to divide by
-        small = np.abs(pw) < 1e-6
-        env = np.exp(gauss + pw)
-        env -= np.exp(gauss - pw)
-        env /= np.where(small, 1.0, 2.0 * pw)
-        if np.any(small):
-            ps = pw[small]
-            env[small] = np.exp(gauss[small]) * (1.0 + ps * ps / 6.0 + ps**4 / 120.0)
+        # e^gauss sinh(pw)/pw = e^{gauss+pw} (1 - e^{-2pw})/(2pw), Re pw >= 0;
+        # adding the mask of pw = 0 (w_tilde = 0) to both sides gives its limit 1
+        zero = pw == 0.0
+        env = np.exp(gauss + pw) * (zero - np.expm1(-2.0 * pw)) / (2.0 * pw + zero)
         vals = radial * env
         starts = np.cumsum(sizes) - sizes
-        return (
-            4.0 * math.pi * np.add.reduceat(vals, starts),
-            4.0 * math.pi * np.add.reduceat(np.abs(vals), starts),
-        )
+        return np.add.reduceat(vals, starts), np.add.reduceat(np.abs(vals), starts)
 
     def _sesqui(
         self,
@@ -362,21 +344,14 @@ class CovarianceKernel:
             f"{np.max(change):.3e} (target {_TOL:.1e})"
         )
 
-    def _bilinear(
-        self,
-        xs: Sequence[EuclideanTestFunction],
-        ys: Sequence[EuclideanTestFunction],
-    ) -> np.ndarray:
-        return self._sesqui([x.conjugated() for x in xs], ys)
-
 
 def covariance(
     kernel: CovarianceKernel, f: EuclideanTestFunction, g: EuclideanTestFunction
 ) -> float:
     """<f, C g> for real-profile test functions (symmetric, positive kernel).
 
-    Complex profiles (nonzero momentum or complex amplitude) have no single
-    real bilinear value; use one_particle_inner for the sesquilinear product.
+    A real profile is its own conjugate, so the sesquilinear core gives it;
+    complex profiles have no real bilinear value: use one_particle_inner.
     """
     for fn in (f, g):
         if not fn.is_real_profile:
@@ -384,7 +359,7 @@ def covariance(
                 "covariance needs real-profile test functions; "
                 "one_particle_inner handles complex profiles"
             )
-    return float(kernel._bilinear([f], [g])[0].real)
+    return float(kernel._sesqui([f], [g])[0].real)
 
 
 GfArgument = Union[
@@ -411,7 +386,7 @@ def _gf_values(kernel: CovarianceKernel, combinations) -> List[float]:
                     "gf_value takes real combinations of real-profile functions"
                 )
     pairs = [(fi, fj) for terms in combinations for _, fi in terms for _, fj in terms]
-    values = iter(kernel._bilinear(*zip(*pairs)).real)
+    values = iter(kernel._sesqui(*zip(*pairs)).real)
     results = []
     for terms in combinations:
         quad = 0.0
@@ -748,18 +723,13 @@ def random_test_functions(
     kernel: CovarianceKernel,
     rng: np.random.Generator,
     count: int,
-    *,
-    normalize: str = "physical",
 ) -> List[EuclideanTestFunction]:
     """Randomized positive-time test functions for property-based checks.
 
-    Amplitudes are normalized to unit norm in the requested inner product
-    ("physical" reflects the bra, "euclidean" does not) and then scattered,
+    Amplitudes are normalized to unit one-particle norm and then scattered,
     so Gram matrices built from these have order-one structure instead of
     collapsing to a rank-one matrix of vacuum overlaps.
     """
-    if normalize not in ("physical", "euclidean"):
-        raise ValueError(f"unknown normalization {normalize!r}")
     raws, scales = [], []
     for _ in range(count):
         tau_width = rng.uniform(0.0012, 0.0025)
@@ -775,8 +745,7 @@ def random_test_functions(
         phase = complex(np.exp(2j * math.pi * rng.uniform()))
         scales.append(rng.uniform(0.5, 1.0) * phase)
     # no draw depends on a norm, so the norms come after the draws, in one batch
-    bras = [raw.reflected() for raw in raws] if normalize == "physical" else raws
-    norms = kernel._sesqui(bras, raws).real
+    norms = kernel._sesqui([raw.reflected() for raw in raws], raws).real
     return [
         raw.scaled(scale / math.sqrt(norm))
         for raw, scale, norm in zip(raws, scales, norms)

@@ -68,8 +68,9 @@ class OnShellAmplitude:
 
 
 def form_factor(model: SeparableModel, k):
-    """Form factor g(k) = 1/(mpi^2 + k^2); accepts scalars or arrays."""
-    return 1.0 / (model.mpi**2 + np.asarray(k, dtype=float) ** 2)
+    """Form factor g(k) = 1/(mpi^2 + k^2), scalar or array; 0 where k^2 overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (model.mpi**2 + np.asarray(k, dtype=float) ** 2)
 
 
 def _f_closed(zp, beta: float, side: str) -> np.ndarray:
@@ -78,17 +79,23 @@ def _f_closed(zp, beta: float, side: str) -> np.ndarray:
     Yamaguchi's closed form (Phys. Rev. 95, 1628 (1954)), b = beta, for real
     scalar or array ``zp``: kappa = sqrt(|z'|) for z' <= 0 and -+i sqrt(z') on
     ``side`` "above"/"below" for z' > 0, so |b + kappa| >= b and nothing cancels.
+    kappa is set by its parts and -pi/(4b) divided twice by b + kappa, so an
+    infinite |z'| gives the limit 0 where -1j*inf or (b + kappa)^2 give NaN.
     """
     zp = np.asarray(zp, dtype=float)
     root = np.sqrt(np.abs(zp))
-    kappa = np.where(zp > 0.0, (-1j if side == "above" else 1j) * root, root)
-    return (-math.pi / (4.0 * beta * (beta + kappa) ** 2))[()]
+    kappa = np.empty(zp.shape, dtype=complex)
+    kappa.real = np.where(zp > 0.0, 0.0, root)
+    kappa.imag = np.where(zp > 0.0, (-1.0 if side == "above" else 1.0) * root, 0.0)
+    return (-math.pi / (4.0 * beta) / (beta + kappa) / (beta + kappa))[()]
 
 
 def _radial_resolvent(model: SeparableModel, energy, side: str = "above"):
     """I(E +- i0) = int_0^inf dk k^2 g(k)^2 / (E +- i0 - k^2/m), for a scalar
-    or an array of energies."""
-    return model.mass * _f_closed(model.mass * energy, model.mpi, side)
+    or an array of energies; an overflowing m*E gives the limit 0."""
+    with np.errstate(over="ignore"):
+        zp = model.mass * np.asarray(energy, dtype=float)
+    return model.mass * _f_closed(zp, model.mpi, side)
 
 
 def _radial_resolvent_quadrature(model: SeparableModel, energy: float, side: str) -> complex:
@@ -158,12 +165,13 @@ def resolvent_form_factor_element(
     return 4.0 * math.pi * radial
 
 
-def exact_t_on_shell(model: SeparableModel, k):
-    """On-shell half-line T-matrix t(k) = -coupling*g(k)^2 / (1 + coupling*I(E+i0)).
+def _on_shell(model: SeparableModel, k):
+    """t(k) and S(k) as arrays, for scalar or array ``k``.
 
-    The denominator uses the radial resolvent integral I = element/(4*pi);
-    the result obeys Im t = -(pi*m*k/2)|t|^2, i.e. exact elastic unitarity.
-    ``k`` is a scalar, giving a complex, or an array, giving an array.
+    With h = -coupling*g(k)/(1 + coupling*I(E+i0)), t = g h and
+    S = 1 - pi*m*(k g)*(i h): pi*m*k never multiplies a vanishing t, and no
+    product of two inexact complex numbers (which numpy's scalar and array
+    loops round differently) enters S.  An overflowing k^2 gives t = 0, S = 1.
     """
     k = np.asarray(k, dtype=float)
     valid = (k > 0.0) & np.isfinite(k)
@@ -171,8 +179,8 @@ def exact_t_on_shell(model: SeparableModel, k):
         raise DomainError(
             f"momentum must be positive and finite, got {k[~valid].flat[0]}"
         )
-    energy = k * k / model.mass
-    denom = 1.0 + model.coupling * _radial_resolvent(model, energy, "above")
+    with np.errstate(over="ignore"):
+        denom = 1.0 + model.coupling * _radial_resolvent(model, k * k / model.mass)
     vanished = np.abs(denom) < 1e-12
     if np.any(vanished):
         raise AccuracyError(
@@ -180,21 +188,31 @@ def exact_t_on_shell(model: SeparableModel, k):
             "coupling cannot place a pole on the physical sheet"
         )
     g = form_factor(model, k)
-    t = -model.coupling * g * g / denom
+    h = -model.coupling * g / denom
+    return g * h, 1.0 - math.pi * model.mass * (k * g) * (1j * h)
+
+
+def exact_t_on_shell(model: SeparableModel, k):
+    """On-shell half-line T-matrix t(k) = -coupling*g(k)^2 / (1 + coupling*I(E+i0)).
+
+    The denominator uses the radial resolvent integral I = element/(4*pi);
+    the result obeys Im t = -(pi*m*k/2)|t|^2, i.e. exact elastic unitarity.
+    ``k`` is a scalar, giving a complex, or an array, giving an array.
+    """
+    t, _ = _on_shell(model, k)
     return complex(t) if t.ndim == 0 else t
 
 
 def exact_s_on_shell(model: SeparableModel, k):
     """S(k) = 1 - i*pi*m*k*t(k); |S| = 1 for real coupling.  ``k`` is a
     scalar, giving a complex, or an array, giving an array."""
-    s = 1.0 - 1j * math.pi * model.mass * np.asarray(k) * exact_t_on_shell(model, k)
+    _, s = _on_shell(model, k)
     return complex(s) if s.ndim == 0 else s
 
 
 def on_shell_amplitude(model: SeparableModel, k: float) -> OnShellAmplitude:
     """Bundle t(k), S(k) and the phase shift arg(S)/2 at one momentum."""
-    t = exact_t_on_shell(model, k)
-    s = 1.0 - 1j * math.pi * model.mass * k * t
+    t, s = map(complex, _on_shell(model, k))
     delta = 0.5 * math.atan2(s.imag, s.real)
     return OnShellAmplitude(momentum=k, t_on_shell=t, s_matrix=s, phase_shift=delta)
 

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
@@ -54,6 +56,28 @@ SEP_G = EuclideanTestFunction(0.030, 0.0035, 1.0, amplitude=1.1)
 
 def real_lump(tau=0.012, st=0.0015, sx=0.002, amp=1.0):
     return EuclideanTestFunction(tau, st, sx, amplitude=amp)
+
+
+def log_time_factor_by_quad(omega, s2, gap):
+    """ln T, T = 2 int e^{-omega|u|} N(u; gap, s2) du, by adaptive quadrature
+    instead of the closed form: the integrand over its peak value, split at
+    its kink u = 0 and at its peak u* = max(gap - omega s2, 0)."""
+    s = math.sqrt(s2)
+    peak = max(gap - omega * s2, 0.0)
+
+    def log_f(u):
+        return -omega * abs(u) - (u - gap) ** 2 / (2.0 * s2)
+
+    top = log_f(peak)
+    edges = [-40.0 * s, 0.0, peak, peak + 40.0 * s]
+    total = sum(
+        integrate.quad(
+            lambda u: math.exp(log_f(u) - top), a, b, epsabs=0.0, epsrel=1e-13
+        )[0]
+        for a, b in zip(edges, edges[1:])
+        if b > a
+    )
+    return math.log(2.0 * total / math.sqrt(2.0 * math.pi * s2)) + top
 
 
 class TestDescriptors:
@@ -214,6 +238,24 @@ class TestCovariance:
             covariance(KERNEL, real_lump(), real_lump(sx=0.0025))
 
 
+class TestTimeFactor:
+    @given(
+        omega=st.floats(min_value=139.0, max_value=3e4),
+        bra_width=st.floats(min_value=1e-3, max_value=4e-3),
+        ket_width=st.floats(min_value=1e-3, max_value=4e-3),
+        gap=st.floats(min_value=0.0, max_value=0.25),
+    )
+    def test_matches_quadrature_in_log(self, omega, bra_width, ket_width, gap):
+        s2 = bra_width**2 + ket_width**2
+        reference = log_time_factor_by_quad(omega, s2, gap)
+        if reference < -700.0:
+            return  # T is near or below the smallest normal float
+        (value,) = CovarianceKernel._time_factor(
+            np.array([omega]), np.array([s2]), np.array([gap])
+        )
+        assert abs(math.log(value) - reference) <= 1e-12
+
+
 class TestGeneratingFunctional:
     def test_vacuum_is_one(self):
         assert gf_value(KERNEL, real_lump(amp=0.0)) == 1.0
@@ -353,7 +395,10 @@ class TestInnerProducts:
 
     def test_euclidean_gram_positive(self):
         rng = np.random.default_rng(7)
-        fns = random_test_functions(KERNEL, rng, 6, normalize="euclidean")
+        fns = [
+            f.scaled(1.0 / math.sqrt(KERNEL._sesqui([f], [f])[0].real))
+            for f in random_test_functions(KERNEL, rng, 6)
+        ]
         gram = euclidean_gram(KERNEL, fns)
         assert np.array_equal(gram, gram.conj().T)
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
@@ -485,6 +530,20 @@ class TestOneParticle:
         ratio = shifted / base
         assert ratio < math.exp(-beta * MASS)
         assert ratio > math.exp(-beta * math.sqrt(MASS**2 + 30.0**2))
+
+    @pytest.mark.parametrize("beta", [0.1, 0.15, 0.2])
+    def test_semigroup_weight_far_past_the_underflow_of_the_gaussian(self, beta):
+        # f's momentum spread, 1/sqrt(2) MeV, is narrow enough that the log of
+        # the ratio is the time factor's at omega = hypot(3000, 139) to 1e-4;
+        # the reflected centers are 2 * 7.5 * 0.0035 = 0.0525 apart
+        f = standard_test_function(3000.0)
+        norm = one_particle_inner(KERNEL, f, f)
+        ratio = one_particle_inner(KERNEL, f, f.shifted_in_time(beta)) / norm
+        omega, s2, gap = math.hypot(3000.0, MASS), 2 * 0.0035**2, 0.0525
+        expected = log_time_factor_by_quad(omega, s2, gap + beta)
+        expected -= log_time_factor_by_quad(omega, s2, gap)
+        assert ratio.real > 0
+        assert math.log(ratio.real) == pytest.approx(expected, rel=1e-4)
 
     def test_mixed_derivative_identity(self):
         f = standard_test_function(120.0)

@@ -1,5 +1,6 @@
 """No module of the package or of the test suite imports a name it never
-uses, and the package defines no function, method or class that nothing loads.
+uses, and the package defines no function, method, class or module-level name
+(a constant or a type alias) that nothing loads.
 
 Each module is parsed with ``ast``; an imported binding counts as used when
 its name appears anywhere else in the module as a load.  ``__init__.py``
@@ -62,9 +63,15 @@ def unused_definitions(package, others):
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     for source in package:
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
     dunders = {name for name in defined if name.startswith("__") and name.endswith("__")}
     return sorted(defined - loaded - dunders)
 
@@ -73,6 +80,12 @@ def test_detects_an_unused_definition():
     package = "class K:\n    def __repr__(self): ...\n    def m(self): ...\n"
     package += "def used(): ...\ndef dead(): ...\n"
     assert unused_definitions([package], ["used(); K().m"]) == ["dead"]
+
+
+def test_detects_an_unused_module_level_name():
+    package = "_DEEP = -26.0\nAlias = int\nLIMIT: float = 1.0\nA, _B = 1, 2\n"
+    package += "__all__ = ['f']\ndef f(x: Alias):\n    y = 0\n    return x + A\n"
+    assert unused_definitions([package], ["f(LIMIT)"]) == ["_B", "_DEEP"]
 
 
 def test_every_definition_is_loaded():

@@ -257,6 +257,33 @@ class TestOnShell:
                 exact_t_on_shell(mod, bad)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowLimits:
+    """Finite inputs whose m*E or k^2 overflows reach the limits F -> 0,
+    t -> 0 and S -> 1 with no warning, never NaN."""
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    @pytest.mark.parametrize("energy", [1e307, -1e307, 1.7e308, -1.7e308])
+    def test_resolvent_element_vanishes(self, energy, side):
+        value = resolvent_form_factor_element(default_model(), energy, side)
+        assert abs(value) <= 1e-300
+
+    @pytest.mark.parametrize("k", [1e160, 1e200, 1e306, 1.7e308])
+    def test_scalar_amplitudes(self, k):
+        mod = default_model()
+        assert abs(exact_t_on_shell(mod, k)) <= 1e-300
+        assert abs(exact_s_on_shell(mod, k) - 1.0) <= 1e-15
+        amplitude = on_shell_amplitude(mod, k)
+        assert abs(amplitude.s_matrix - 1.0) <= 1e-15
+        assert abs(amplitude.phase_shift) <= 1e-15
+
+    def test_array_amplitudes(self):
+        mod = default_model()
+        ks = np.array([1e160, 1e200, 1e306, 1.7e308])
+        assert np.all(np.abs(exact_t_on_shell(mod, ks)) <= 1e-300)
+        assert np.all(np.abs(exact_s_on_shell(mod, ks) - 1.0) <= 1e-15)
+
+
 class TestBoundState:
     def test_default_model_reproduces_target_binding(self):
         assert bound_state_energy(default_model()) == pytest.approx(
