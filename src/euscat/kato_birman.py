@@ -34,7 +34,6 @@ energy-shell weight for which the quotient reproduces t for narrow packets.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
@@ -57,6 +56,7 @@ from .spectral import (
     build_grid,
     diagonalize,
     discretize_h,
+    semigroup_bounds,
 )
 
 
@@ -102,11 +102,17 @@ class KBConfig:
     grid: Optional[GridSpec] = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
+        _check_n(self.n)
         for key, value in (("beta", self.beta), ("beta_x", self.beta_x), ("sigma", self.sigma)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be positive and finite, got {value}")
+
+
+def _check_n(n: float) -> int:
+    """n as an int; raises ConfigError unless n is finite, integral and >= 1."""
+    if not (math.isfinite(n) and n >= 1 and n == math.floor(n)):
+        raise ConfigError(f"n must be an integer >= 1, got {n}")
+    return int(n)
 
 
 class SMatrixEstimate(NamedTuple):
@@ -264,6 +270,21 @@ def _hamiltonian(
 _HALF_PHASE_TOL = 5e-13
 
 
+def _half_phase_overlap(
+    sg: Semigroup, n: int, mass: float, psi_prime: WavePacket, psi: WavePacket
+) -> complex:
+    """u'^T e^{2inA} u by the half-phase identity of the module docstring:
+    one series for e^{inA} acts on the block [u], or [u, u'] when u' != u."""
+    _, hi = sg.bounds()
+    expansion = converged_expansion(n, (0.0, hi), tol=_HALF_PHASE_TOL)
+    free_phase = np.exp(-1j * n * np.exp(-sg.beta * psi.grid.nodes**2 / mass))
+    u = free_phase * psi.weighted()
+    u_prime = free_phase * np.conj(psi_prime.weighted())
+    block = [u] if np.array_equal(u_prime, u) else [u, u_prime]
+    halves = apply_to_semigroup(expansion, sg, np.column_stack(block))
+    return complex(halves[:, -1] @ halves[:, 0])
+
+
 def kb_s_overlap(
     model: SeparableModel,
     cfg: KBConfig,
@@ -283,23 +304,15 @@ def kb_s_overlap(
     grid = _require_shared_grid(psi_prime, psi)
     beta = _resolve_beta(model, cfg, psi.center)
     operator = _hamiltonian(model, grid, op)
-    free_phase = np.exp(-1j * cfg.n * np.exp(-beta * grid.nodes**2 / model.mass))
-    v = free_phase * psi.weighted()
-    sg = Semigroup(op=operator, beta=beta)
-    # raises AccuracyError on both paths when e^{-beta E_0} overflows
-    _, hi = sg.bounds()
     if propagator == "chebyshev":
-        # the half-phase identity of the module docstring
-        expansion = converged_expansion(cfg.n, (0.0, hi), tol=_HALF_PHASE_TOL)
-        u_prime = free_phase * np.conj(psi_prime.weighted())
-        if np.array_equal(u_prime, v):
-            half = apply_to_semigroup(expansion, sg, v)
-            return complex(half @ half)
-        halves = apply_to_semigroup(expansion, sg, np.column_stack((v, u_prime)))
-        return complex(halves[:, 1] @ halves[:, 0])
+        sg = Semigroup(operator, beta)
+        return _half_phase_overlap(sg, cfg.n, model.mass, psi_prime, psi)
     if propagator == "exact":
+        # the overflow check of the Semigroup, without forming its matrix
+        semigroup_bounds(operator, beta)
+        free_phase = np.exp(-1j * cfg.n * np.exp(-beta * grid.nodes**2 / model.mass))
         images = np.exp(2j * cfg.n * np.exp(-beta * operator.eigenvalues))
-        mid = operator.apply_images(images, v)
+        mid = operator.apply_images(images, free_phase * psi.weighted())
         return complex(np.vdot(psi_prime.weighted(), free_phase * mid))
     raise ValueError(f"unknown propagator {propagator!r}")
 
@@ -371,13 +384,14 @@ def sweep_n(
     ``reference`` picks the comparison value: "packets" is the exact S
     averaged over the packet pair (isolates the n-dependence), "sharp" is
     S at the ket packet's center momentum (adds the packet-width bias, which
-    is what shrinks when sigma does).  One diagonalization serves the sweep,
-    and so does one dense semigroup matrix: beta does not depend on n, and
-    the operator caches e^{-beta H} for the beta last applied.
+    is what shrinks when sigma does).  Every n must be an integer >= 1.
+    Beta does not depend on n, so one diagonalization and one ``Semigroup``
+    serve the sweep.
     """
     if len(n_values) == 0:
         raise ConfigError("n_values must not be empty")
-    if any(b <= a for a, b in zip(n_values[:-1], n_values[1:])):
+    ns = [_check_n(n) for n in n_values]
+    if any(b <= a for a, b in zip(ns[:-1], ns[1:])):
         raise ConfigError("n_values must be strictly ascending")
     grid = _require_shared_grid(psi_prime, psi)
     operator = _hamiltonian(model, grid, None)
@@ -387,14 +401,13 @@ def sweep_n(
         exact = exact_s_on_shell(model, psi.center)
     else:
         raise ValueError(f"unknown reference {reference!r}")
+    sg = Semigroup(operator, _resolve_beta(model, cfg, psi.center))
     rows = []
-    for n in n_values:
-        kb = kb_s_overlap(
-            model, dataclasses.replace(cfg, n=int(n)), psi_prime, psi, op=operator
-        )
+    for n in ns:
+        kb = _half_phase_overlap(sg, n, model.mass, psi_prime, psi)
         rows.append(
             SweepRow(
-                n=int(n),
+                n=n,
                 re_approx=kb.real,
                 im_approx=kb.imag,
                 re_exact=exact.real,

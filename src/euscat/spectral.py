@@ -10,10 +10,10 @@ with square-root weights,
 
 so its eigenvectors are orthonormal under the plain dot product and one dense
 diagonalization serves every later evaluation of e^{-beta H}.  A
-``Semigroup`` applies the dense real matrix U diag(e^{-beta E}) U^T, formed
-once per operator and beta; complex vectors meet real matrices through a
-zero-copy real view, so no matrix is ever copied to complex.  Only the
-contractive direction beta >= 0 is exposed.  With an attractive coupling the
+``Semigroup`` owns the dense real matrix U diag(e^{-beta E}) U^T of its one
+beta, formed when it is constructed; complex vectors meet real matrices
+through a zero-copy real view, so no matrix is ever copied to complex.  Only
+the contractive direction beta >= 0 is exposed.  With an attractive coupling the
 spectrum dips below zero, so the upper semigroup bound exceeds 1 by
 e^{-beta E_bound}; downstream polynomial approximation widens its domain
 accordingly instead of shifting H.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -84,10 +84,6 @@ class SpectralOperator:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    # the dense e^{-beta H} of the last beta a Semigroup applied
-    _semigroups: Dict[float, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.eigenvalues.setflags(write=False)
@@ -104,13 +100,6 @@ class SpectralOperator:
         if coeffs.ndim == 2:
             images = images[:, None]
         return _real_product(self.vectors, images * coeffs)
-
-    def _semigroup_matrix(self, beta: float) -> np.ndarray:
-        # one beta at a time keeps the cache at one N x N matrix
-        if beta not in self._semigroups:
-            self._semigroups.clear()
-            self._semigroups[beta] = _dense_semigroup(self, beta)
-        return self._semigroups[beta]
 
 
 @functools.lru_cache(maxsize=256)
@@ -198,29 +187,35 @@ def diagonalize(h: np.ndarray) -> SpectralOperator:
 
 @dataclass(frozen=True)
 class Semigroup:
-    """The operator e^{-beta H} for one fixed beta > 0, ready to act on vectors."""
+    """e^{-beta H} for one finite beta > 0 as the read-only dense matrix
+    U diag(e^{-beta E}) U^T, formed once the bounds check passes."""
 
     op: SpectralOperator
     beta: float
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise DomainError(f"beta must be > 0, got {self.beta}")
+        self.bounds()
+        u = self.op.vectors
+        matrix = (u * np.exp(-self.beta * self.op.eigenvalues)) @ u.T
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """e^{-beta H} v as one real matrix product with the cached dense
-        matrix; v is a real or complex vector or N x K block."""
-        return _real_product(self.op._semigroup_matrix(self.beta), v)
+        """e^{-beta H} v as one real matrix product with ``matrix``; v is a
+        real or complex vector or N x K block."""
+        return _real_product(self.matrix, v)
 
     def bounds(self) -> Tuple[float, float]:
         return semigroup_bounds(self.op, self.beta)
 
 
 def semigroup_apply(op: SpectralOperator, beta: float, v: np.ndarray) -> np.ndarray:
-    """e^{-beta H} v through the eigenbasis; beta must be >= 0, and a beta > 0
-    whose bound e^{-beta E_0} overflows raises ``AccuracyError``."""
-    if beta < 0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
+    """e^{-beta H} v through the eigenbasis; beta must be finite and >= 0,
+    and a beta > 0 whose bound e^{-beta E_0} overflows raises
+    ``AccuracyError``."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise DomainError(f"beta must be finite and >= 0, got {beta}")
     if beta > 0:
         semigroup_bounds(op, beta)
     return op.apply_images(np.exp(-beta * op.eigenvalues), v)
@@ -234,8 +229,8 @@ def semigroup_bounds(op: SpectralOperator, beta: float) -> Tuple[float, float]:
     than assuming [0, 1].  A largest eigenvalue beyond the float range raises
     ``AccuracyError``.
     """
-    if beta <= 0:
-        raise DomainError(f"beta must be > 0, got {beta}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise DomainError(f"beta must be finite and > 0, got {beta}")
     e0 = float(op.eigenvalues[0])
     if not -beta * e0 <= _LOG_FLOAT_MAX:
         raise AccuracyError(
@@ -247,13 +242,3 @@ def semigroup_bounds(op: SpectralOperator, beta: float) -> Tuple[float, float]:
         float(np.exp(-beta * op.eigenvalues[-1])),
         float(np.exp(-beta * e0)),
     )
-
-
-def _dense_semigroup(op: SpectralOperator, beta: float) -> np.ndarray:
-    """The read-only dense matrix U diag(e^{-beta E}) U^T; a beta whose
-    bound e^{-beta E_0} overflows raises ``AccuracyError`` first."""
-    semigroup_bounds(op, beta)
-    u = op.vectors
-    matrix = (u * np.exp(-beta * op.eigenvalues)) @ u.T
-    matrix.setflags(write=False)
-    return matrix

@@ -8,9 +8,14 @@ re-exports its imports, and ``__future__`` imports are directives, so both
 are skipped.  A definition counts as used when its name is loaded, as a name
 or an attribute, anywhere in the package or the tests; dunders are called by
 Python itself, and a re-export in ``__init__.py`` is not a use.
+
+Every function the benchmark traces (``LAYERS`` in ``bench/spans.py``, read
+with ``ast`` so the bench is not imported) exists in the package; the tracer
+only warns about a missing one, and its layer metrics would read 0.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -92,3 +97,24 @@ def test_every_definition_is_loaded():
     package = [path.read_text() for path in SOURCES]
     others = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
     assert unused_definitions(package, others) == []
+
+
+def traced_layers(source: str):
+    """The (module, attribute) pairs of the ``LAYERS`` literal in ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.AnnAssign) and node.target.id == "LAYERS":
+            return [entry[:2] for entry in ast.literal_eval(node.value)]
+    raise AssertionError("no LAYERS assignment")
+
+
+def resolves(module: str, attr: str) -> bool:
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    return owner is not None
+
+
+def test_every_traced_layer_exists():
+    layers = traced_layers((TESTS.parent / "bench" / "spans.py").read_text())
+    assert layers
+    assert [f"{m}.{a}" for m, a in layers if not resolves(m, a)] == []

@@ -225,25 +225,39 @@ class TestSweep:
         assert plateaus[1] < plateaus[0] / 2.5
 
     def test_one_semigroup_matrix_per_sweep(self, monkeypatch):
-        formed = []
-        original = spectral._dense_semigroup
+        built = []
+        original = spectral.Semigroup.__post_init__
 
-        def counting(op, beta):
-            formed.append(beta)
-            return original(op, beta)
+        def counting(self):
+            built.append(self.beta)
+            original(self)
 
-        monkeypatch.setattr(spectral, "_dense_semigroup", counting)
+        monkeypatch.setattr(spectral.Semigroup, "__post_init__", counting)
         rows = sweep_n(MODEL, KBConfig(), [10, 20, 40], PACKET_1GEV, PACKET_1GEV)
         assert len(rows) == 3
-        assert formed == [5e-4]
+        assert built == [5e-4]
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_rows_equal_single_overlaps_bit_for_bit(self, primed):
+        bra = make_packet(1040.0, 90.0, GRID_1GEV) if primed else PACKET_1GEV
+        ns = [1, 40.0, 250]  # an integral float is a valid n
+        rows = sweep_n(MODEL, KBConfig(beta=5e-4), ns, bra, PACKET_1GEV)
+        for n, row in zip(ns, rows):
+            kb = kb_s_overlap(MODEL, KBConfig(n=n, beta=5e-4), bra, PACKET_1GEV, op=OP_1GEV)
+            assert (row.n, row.re_approx, row.im_approx) == (n, kb.real, kb.imag)
 
     def test_input_validation(self):
-        with pytest.raises(ConfigError):
-            sweep_n(MODEL, KBConfig(), [], PACKET_1GEV, PACKET_1GEV)
-        with pytest.raises(ConfigError):
-            sweep_n(MODEL, KBConfig(), [50, 50], PACKET_1GEV, PACKET_1GEV)
-        with pytest.raises(ConfigError):
-            sweep_n(MODEL, KBConfig(), [100, 50], PACKET_1GEV, PACKET_1GEV)
+        for n_values, match in (
+            ([], "empty"),
+            ([50, 50], "ascending"),
+            ([100, 50], "ascending"),
+            ([2.5, 2.9], "got 2.5"),
+            ([0.5, 3], "got 0.5"),
+            ([10, float("nan")], "got nan"),
+            ([10, float("inf")], "got inf"),
+        ):
+            with pytest.raises(ConfigError, match=match):
+                sweep_n(MODEL, KBConfig(), n_values, PACKET_1GEV, PACKET_1GEV)
 
 
 class TestTimeOracle:
@@ -341,8 +355,9 @@ class TestExtraction:
 
 class TestConfigAndHelpers:
     def test_kbconfig_validation(self):
-        with pytest.raises(ConfigError):
-            KBConfig(n=0)
+        for n in (0, 2.5, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"got {n}"):
+                KBConfig(n=n)
         with pytest.raises(ConfigError):
             KBConfig(beta=-1e-4)
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euscat import spectral
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from euscat.model import SeparableModel, bound_state_energy, default_model
 from euscat.spectral import (
@@ -215,11 +216,18 @@ class TestSemigroup:
             semigroup_bounds(OP, 0.0)
         with pytest.raises(DomainError):
             semigroup_bounds(OP, -1.0)
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match=f"finite.*got {beta}"):
+                semigroup_apply(OP, beta, v)
+            with pytest.raises(DomainError, match=f"finite.*got {beta}"):
+                semigroup_bounds(OP, beta)
+            with pytest.raises(DomainError, match=f"finite.*got {beta}"):
+                Semigroup(op=OP, beta=beta)
 
 
 class TestDenseSemigroup:
-    """Semigroup.apply, one product with the cached dense e^{-beta H},
-    against the eigenbasis oracle semigroup_apply."""
+    """Semigroup.apply, one product with the dense e^{-beta H} formed at
+    construction, against the eigenbasis oracle semigroup_apply."""
 
     BETA = 4e-4
 
@@ -251,20 +259,26 @@ class TestDenseSemigroup:
         assert not block[:, 1].flags.c_contiguous
         self._assert_matches_oracle(block[:, 1])
 
-    def test_cached_matrix_is_read_only(self):
+    def test_cached_matrix_is_read_only(self, monkeypatch):
         sg = Semigroup(op=OP, beta=self.BETA)
-        sg.apply(np.ones(GRID.size))
-        matrix = OP._semigroup_matrix(self.BETA)
-        assert matrix is OP._semigroup_matrix(self.BETA)
         with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
+            sg.matrix[0, 0] = 1.0
+        used = []
+        original = spectral._real_product
+
+        def recording(matrix, v):
+            used.append(matrix)
+            return original(matrix, v)
+
+        monkeypatch.setattr(spectral, "_real_product", recording)
+        sg.apply(np.ones(GRID.size))
+        assert len(used) == 1 and used[0] is sg.matrix
 
     def test_complex_application_makes_no_square_temporary(self):
         grid = build_grid(GridSpec(panels=[(0.0, 278.0, 122), (278.0, 6000.0, 368)]))
         op = diagonalize(discretize_h(MODEL, grid))
         sg = Semigroup(op=op, beta=5e-4)
         v = RNG.standard_normal(grid.size) + 1j * RNG.standard_normal(grid.size)
-        sg.apply(v)  # forms and caches the dense matrix
         tracemalloc.start()
         try:
             sg.apply(v)
@@ -278,7 +292,7 @@ class TestDenseSemigroup:
         with pytest.raises(AccuracyError, match=r"beta=0\.05.*E_0=-20000"):
             semigroup_bounds(deep, 0.05)
         with pytest.raises(AccuracyError, match="E_0=-20000"):
-            Semigroup(op=deep, beta=0.05).apply(np.ones(3))
+            Semigroup(op=deep, beta=0.05)
 
     def test_eigenbasis_oracle_shares_the_overflow_check(self):
         deep = diagonalize(np.diag([-20000.0, 10.0, 400.0]))
