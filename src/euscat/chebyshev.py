@@ -130,16 +130,26 @@ def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) ->
     vec = np.asarray(v, dtype=complex)
     scale = 2.0 / (b - a)
     shift = (a + b) / (b - a)
-
-    def rescaled(u: np.ndarray) -> np.ndarray:
-        return scale * sg.apply(u) - shift * u
-
     c = exp.coefficients
     b1 = np.zeros_like(vec)
     b2 = np.zeros_like(vec)
+    scratch = np.empty_like(vec)
+
+    def step(factor: float, coefficient: complex) -> np.ndarray:
+        # coefficient vec + factor (scale A b1 - shift b1) - b2, evaluated in
+        # place on the fresh block A b1 with the same roundings as that
+        # expression: factor is 2 or 1, and numpy's complex product rounds
+        # differently once its operands swap
+        out = sg.apply(b1)
+        out *= factor * scale
+        out -= np.multiply(b1, factor * shift, out=scratch)
+        out += np.multiply(coefficient, vec, out=scratch)
+        out -= b2
+        return out
+
     for j in range(exp.degree, 0, -1):
-        b1, b2 = c[j] * vec + 2.0 * rescaled(b1) - b2, b1
-    return 0.5 * c[0] * vec + rescaled(b1) - b2
+        b1, b2 = step(2.0, c[j]), b1
+    return step(1.0, 0.5 * c[0])
 
 
 def uniform_error_report(

@@ -53,9 +53,9 @@ from .spectral import (
     RadialGrid,
     Semigroup,
     SpectralOperator,
+    _rank_one_operator,
+    _separable_terms,
     build_grid,
-    diagonalize,
-    discretize_h,
     semigroup_bounds,
 )
 
@@ -257,8 +257,11 @@ def _resolve_beta(model: SeparableModel, cfg: KBConfig, k0: float) -> float:
 def _hamiltonian(
     model: SeparableModel, grid: RadialGrid, op: Optional[SpectralOperator]
 ) -> SpectralOperator:
+    """``op`` checked against the grid, or when None the eigendecomposition of
+    the model's H on the grid by the rank-one secular solver: the dense H is
+    never formed and eigh never runs."""
     if op is None:
-        return diagonalize(discretize_h(model, grid))
+        return _rank_one_operator(*_separable_terms(model, grid), model.coupling)
     if op.size != grid.size:
         raise PreconditionError(
             f"operator size {op.size} does not match grid size {grid.size}"
@@ -385,7 +388,7 @@ def sweep_n(
     averaged over the packet pair (isolates the n-dependence), "sharp" is
     S at the ket packet's center momentum (adds the packet-width bias, which
     is what shrinks when sigma does).  Every n must be an integer >= 1.
-    Beta does not depend on n, so one diagonalization and one ``Semigroup``
+    Beta does not depend on n, so one eigendecomposition and one ``Semigroup``
     serve the sweep.
     """
     if len(n_values) == 0:

@@ -8,8 +8,12 @@ with square-root weights,
 
     H_ij = delta_ij k_i^2/m - coupling * sqrt(w_i) k_i g(k_i) sqrt(w_j) k_j g(k_j),
 
-so its eigenvectors are orthonormal under the plain dot product and one dense
-diagonalization serves every later evaluation of e^{-beta H}.  A
+so its eigenvectors are orthonormal under the plain dot product and one
+eigendecomposition serves every later evaluation of e^{-beta H}.  H is
+diagonal plus rank one, diag(k^2/m) - coupling v v^T, so the scattering
+pipeline never forms it: ``_rank_one_operator`` solves the secular equation
+in O(N^2) work per iteration, where ``diagonalize``, kept for any dense
+symmetric input such as ``discretize_h``, calls eigh at O(N^3).  A
 ``Semigroup`` owns the dense real matrix U diag(e^{-beta E}) U^T of its one
 beta, formed when it is constructed; complex vectors meet real matrices
 through a zero-copy real view, so no matrix is ever copied to complex.  Only
@@ -61,6 +65,8 @@ class RadialGrid:
 
 # exp overflows past this exponent
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# an eigendecomposition is rejected above ||HU - U diag(E)||_F / ||H||_F
+_RESIDUAL_TOL = 1e-10
 
 
 def _real_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -155,12 +161,17 @@ def build_grid(spec: GridSpec) -> RadialGrid:
     )
 
 
+def _separable_terms(model: SeparableModel, grid: RadialGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """d and v of the discretized H = diag(d) - coupling v v^T:
+    d_i = k_i^2/m and v_i = sqrt(w_i) k_i g(k_i)."""
+    k = grid.nodes
+    return k * k / model.mass, np.sqrt(grid.weights) * k * form_factor(model, k)
+
+
 def discretize_h(model: SeparableModel, grid: RadialGrid) -> np.ndarray:
     """Symmetric matrix of H = k^2/m - coupling |g><g| in the weighted basis."""
-    k = grid.nodes
-    v = np.sqrt(grid.weights) * k * form_factor(model, k)
-    h = np.diag(k * k / model.mass) - model.coupling * np.outer(v, v)
-    return h
+    d, v = _separable_terms(model, grid)
+    return np.diag(d) - model.coupling * np.outer(v, v)
 
 
 def diagonalize(h: np.ndarray) -> SpectralOperator:
@@ -177,12 +188,306 @@ def diagonalize(h: np.ndarray) -> SpectralOperator:
         raise PreconditionError("matrix must be symmetric")
     eigenvalues, vectors = np.linalg.eigh(h)
     residual = np.linalg.norm((vectors * eigenvalues) @ vectors.T - h)
-    if residual > 1e-10 * scale:
+    if residual > _RESIDUAL_TOL * scale:
         raise AccuracyError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-10 * ||H|| "
-            f"= {1e-10 * scale:.3e}"
+            f"= {_RESIDUAL_TOL * scale:.3e}"
         )
     return SpectralOperator(eigenvalues=eigenvalues, vectors=vectors)
+
+
+_EPS = np.finfo(float).eps
+# LAPACK dlaed2's deflation threshold, 8 eps of the problem's norm
+_DEFLATION = 8.0 * _EPS
+# dlaed4's iteration cap per secular root
+_MAX_SECULAR_ITERATIONS = 30
+# ||U^T U - I||_F; Gu-Eisenstat vectors reach about N eps
+_ORTHOGONALITY_TOL = 1e-10
+
+
+def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues x (ascending) and eigenvectors, as the rows of U, of
+    diag(d) + v v^T for strictly ascending d and v without zeros: the roots
+    of the secular function f(x) = 1 + sum_j w_j / (d_j - x), w = v^2.
+
+    Root a < K-1 lies in (d_a, d_{a+1}) and the last one in
+    (d_{K-1}, d_{K-1} + sum(w)].  Each root is kept as pole + tau, the
+    pole being the end of its interval nearer to it (by the sign of f at the
+    midpoint; d_{K-1} for the last root), so d_j - x_a = (d_j - pole_a) -
+    tau_a keeps full relative accuracy however close the root is to a pole.
+
+    The interior roots take R.-C. Li's fixed-weight steps (LAPACK Working
+    Note 89, as in dlaed4), vectorised over the roots: each steps to the root
+    of a rational model with poles d_a and d_{a+1} that matches f and f',
+    the origin's pole keeping its own weight.  On the 20 t-scan grids this
+    needs 2.9 evaluations per root where the middle way alone needs 3.1, and
+    it needs no split of f' by side, so one buffer serves the iteration.  The
+    first guess solves the model with both poles of the interval exact and
+    the rest frozen at the midpoint.  If |f| falls by less than 10x in a
+    step, a root switches to the middle way, each pole carrying the part of
+    f' from its side, and back again on the next such step.  The last root
+    has every pole on one side; from the midpoint of its interval, its model
+    keeps the 1 and its own pole exact and fits one pole of free position to
+    the others.  A step that leaves the bracket kept by the sign of f bisects
+    it.  A root has converged when |f| is below the rounding bound of its
+    evaluation, eps (8 sum_j |w_j/(d_j - x)| + 2 + |tau| f').
+
+    The vectors are u_a ~ z / (d - x_a), with z recomputed from the roots
+    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15 (1994) 1266),
+    |z_j|^2 ~ prod_a (d_j - x_a) / prod_{i != j} (d_j - d_i), which makes them
+    orthogonal to working accuracy.
+
+    Each iteration is four elementwise passes over a [root, pole] matrix and
+    three matrix-vector products, on the roots still open (plus the split on
+    the rows that switched).  All of it runs in three K x K buffers: a fresh
+    array per pass costs more in page faults than the pass itself.
+    """
+    k = d.size
+    w = v * v
+    gap = d[1:] - d[:-1]
+    half = 0.5 * gap
+    w_lo, w_up = w[:-1], w[1:]
+    spacing = d[None, :] - d[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the interior roots: f at the midpoints picks the nearer pole, and
+        # the model with the interval's two poles exact and the rest frozen
+        # at the midpoint gives the first guess
+        work = np.subtract(spacing[:-1], half[:, None])
+        np.divide(1.0, work, out=work)
+        f_mid = 1.0 + work @ w
+        lower = f_mid > 0.0
+        c = f_mid + (w_lo - w_up) / half
+        a = np.where(lower, c * gap + w_lo + w_up, c * gap - w_lo - w_up)
+        b = np.where(lower, w_lo, w_up) * gap
+        disc = np.sqrt(np.abs(a * a - np.where(lower, 4.0, -4.0) * b * c))
+        tau = np.where(
+            lower,
+            np.where(a > 0.0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c)),
+            np.where(a < 0.0, 2.0 * b / (a - disc), -(a + disc) / (2.0 * c)),
+        )
+    lo = np.where(lower, 0.0, -half)
+    hi = np.where(lower, half, 0.0)
+    valid = np.where(lower, (tau > 0.0) & (tau <= hi), (tau >= lo) & (tau < 0.0))
+    tau = np.where(valid, tau, 0.5 * (lo + hi))
+    # the last root is kept against d_{K-1}
+    origin = np.append(np.where(lower, np.arange(k - 1), np.arange(1, k)), k - 1)
+    shifted = spacing[origin]
+    # d of the interval's other pole, less d of the origin
+    to_far = np.where(lower, gap, -gap)
+
+    weight = np.where(lower, w_lo, w_up)
+    rows = np.arange(k - 1)
+    middle = np.zeros(k - 1, dtype=bool)
+    previous = np.full(k - 1, np.nan)
+    for _ in range(_MAX_SECULAR_ITERATIONS):
+        if rows.size == 0:
+            break
+        t = tau[rows]
+        inv = work[: rows.size]
+        if rows.size == k - 1:
+            np.subtract(shifted[:-1], t[:, None], out=inv)
+        else:
+            np.take(shifted, rows, axis=0, out=inv, mode="clip")
+            inv -= t[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(1.0, inv, out=inv)
+            f = 1.0 + inv @ w
+            switched = middle[rows]
+            if switched.any():
+                # the part of f' from the poles above each root
+                right = np.maximum(inv[switched], 0.0)
+                upper_df = np.square(right, out=right) @ w
+            size = np.abs(inv, out=inv) @ w
+            df = np.square(inv, out=inv) @ w
+            bound = _EPS * (8.0 * size + 2.0 + np.abs(t) * df)
+            neg = f < 0.0
+            lo_r = np.where(neg, t, lo[rows])
+            hi_r = np.where(neg, hi[rows], t)
+            done = (np.abs(f) <= bound) | (hi_r - lo_r <= 4.0 * _EPS * np.abs(t))
+            # offsets d - x of the two poles: -t at the origin, far at the other;
+            # the model c + weight/(-t - eta) + S/(far - eta) keeps the origin's
+            # weight and fits S and c to f and f'
+            far = to_far[rows] - t
+            c = f - far * df + to_far[rows] * (weight[rows] / t / t)
+            if switched.any():
+                at_lower = lower[rows][switched]
+                near, other = -t[switched], far[switched]
+                d_lo = np.where(at_lower, near, other)
+                d_up = np.where(at_lower, other, near)
+                c[switched] = f[switched] - d_lo * (df[switched] - upper_df) - d_up * upper_df
+            # its root between the poles: c eta^2 - a eta + b = 0
+            a = (far - t) * f + t * far * df
+            b = -t * far * f
+            disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+            eta = np.where(a <= 0.0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
+            eta = np.where(f * eta < 0.0, eta, -f / df)
+            trial = t + eta
+            inside = (trial > lo_r) & (trial < hi_r)
+            eta = np.where(inside, eta, 0.5 * (np.where(neg, hi_r, lo_r) - t))
+            slow = (f * previous[rows] > 0.0) & (np.abs(f) > 0.1 * np.abs(previous[rows]))
+        middle[rows] ^= slow
+        previous[rows] = f
+        lo[rows], hi[rows] = lo_r, hi_r
+        tau[rows] = np.where(done, t, t + eta)
+        rows = rows[~done]
+    else:
+        if rows.size:
+            raise AccuracyError(
+                f"secular equation: {rows.size} of {k} roots not converged in "
+                f"{_MAX_SECULAR_ITERATIONS} iterations"
+            )
+
+    # the last root, one row
+    row = shifted[-1, :-1]
+    w_near, w_rest = float(w[-1]), w[:-1]
+    end = float(np.sum(w))
+    t, lo_t, hi_t = 0.5 * end, 0.0, end
+    for _ in range(_MAX_SECULAR_ITERATIONS):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rest = 1.0 / (row - t)
+            psi = float(rest @ w_rest)
+            dpsi = float((rest * rest) @ w_rest)
+        f = 1.0 + psi - w_near / t
+        df = dpsi + w_near / t / t
+        if abs(f) <= _EPS * (8.0 * (1.0 - f) + 2.0 + t * df):
+            break
+        if t == end:
+            end = math.nan  # the closed end of the bracket is tried once
+        if f < 0.0:
+            lo_t = t
+        else:
+            hi_t = t
+        if hi_t - lo_t <= 4.0 * _EPS * t:
+            break
+        # the model 1 + s/(q - tau) - w_near/tau in the offset tau from
+        # d_{K-1}, with the others lumped at q < 0, matching psi and psi';
+        # solved for tau itself, not for a step, which would cancel against
+        # t when the root is much nearer d_{K-1} than t is
+        q = t + psi / dpsi if dpsi > 0.0 else 0.0
+        b = q + psi * (q - t) + w_near
+        c = w_near * q
+        disc = math.sqrt(b * b - 4.0 * c)
+        trial = 0.5 * (b + disc) if b > 0.0 else 2.0 * c / (b - disc)
+        if trial >= hi_t == end:
+            trial = end
+        t = trial if lo_t < trial < hi_t or trial == end else 0.5 * (lo_t + hi_t)
+    else:
+        raise AccuracyError(
+            f"secular equation: the largest of {k} roots not converged in "
+            f"{_MAX_SECULAR_ITERATIONS} iterations"
+        )
+    tau = np.append(tau, t)
+
+    delta = np.subtract(shifted, tau[:, None], out=shifted)
+    np.fill_diagonal(spacing, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(delta, spacing, out=spacing)
+        z = np.copysign(np.sqrt(np.abs(np.prod(ratio, axis=0))), v)
+        u = np.divide(z, delta, out=delta)
+        u /= np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+    return d[origin] + tau, u
+
+
+def _rank_one_update(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues x (ascending) and eigenvectors, as the rows of U, of
+    diag(d) + v v^T for ascending d.
+
+    Deflation follows LAPACK dlaed2 with tol = 8 eps max(|d|, ||v||^2):
+    a component with |v_i| ||v|| <= tol keeps (d_i, e_i), and of two
+    neighbouring poles whose v-rotation leaves an off-diagonal
+    |(d_q - d_p) c s| <= tol the lower is rotated out with its own (d, e).
+    The rest go to the secular solver.
+    """
+    n = d.size
+    norm_v = math.sqrt(float(v @ v))
+    tol = _DEFLATION * max(abs(d[0]), abs(d[-1]), norm_v * norm_v)
+    kept = np.flatnonzero(np.abs(v) * norm_v > tol)
+    dk, vk = d.copy(), v.copy()
+    rotations = []
+    vp, vq = v[kept[:-1]], v[kept[1:]]
+    if np.any((d[kept[1:]] - d[kept[:-1]]) * np.abs(vp * vq) <= tol * (vp * vp + vq * vq)):
+        survivors = []
+        p = kept[0]
+        for q in kept[1:].tolist():
+            r = math.hypot(vk[p], vk[q])
+            c, s = vk[q] / r, -vk[p] / r
+            if abs((dk[q] - dk[p]) * c * s) <= tol:
+                vk[p], vk[q] = 0.0, r
+                dk[p], dk[q] = dk[p] * c * c + dk[q] * s * s, dk[p] * s * s + dk[q] * c * c
+                rotations.append((p, q, c, s))
+            else:
+                survivors.append(p)
+            p = q
+        survivors.append(p)
+        kept = np.array(survivors, dtype=int)
+    if kept.size == n:
+        return _secular_solve(d, v)
+
+    eigenvalues, vectors = dk, np.eye(n)
+    if kept.size:
+        eigenvalues[kept], vectors[np.ix_(kept, kept)] = _secular_solve(dk[kept], vk[kept])
+    # undo the rotations, last first, on the coordinates
+    for p, q, c, s in reversed(rotations):
+        col_p, col_q = vectors[:, p].copy(), vectors[:, q].copy()
+        vectors[:, p] = c * col_p - s * col_q
+        vectors[:, q] = s * col_p + c * col_q
+    order = np.argsort(eigenvalues, kind="stable")
+    return eigenvalues[order], vectors[order]
+
+
+def _rank_one_operator(d: np.ndarray, v: np.ndarray, coupling: float) -> SpectralOperator:
+    """Eigendecomposition of H = diag(d) - coupling v v^T for ascending d,
+    without forming H: O(N^2) work per secular iteration where eigh of the
+    dense H costs O(N^3).
+
+    With s = sqrt(|coupling|) v, a repulsive coupling is diag(d) + s s^T and
+    an attractive one is solved as -H = diag(-d) + s s^T in reversed order;
+    coupling 0 gives (d, I).  ``AccuracyError`` rejects the result unless
+    the residual ||D U - coupling v (v^T U) - U diag(E)||_F is within
+    1e-10 ||H||_F (for orthonormal U the reconstruction error that
+    ``diagonalize`` checks), with ||H||_F^2 = sum_i (d_i - coupling v_i^2)^2
+    + coupling^2 (||v||^4 - sum_i v_i^4) in O(N), and ||U^T U - I||_F is
+    within 1e-10.
+    """
+    d = np.asarray(d, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if np.any(d[1:] < d[:-1]):
+        raise PreconditionError("diagonal must be in ascending order")
+    if coupling == 0.0:
+        return SpectralOperator(eigenvalues=d.copy(), vectors=np.eye(d.size))
+    flip = coupling > 0.0
+    # s s^T = |coupling| v v^T, without forming coupling v_i^2 on the way
+    s = math.sqrt(abs(coupling)) * v
+    ds, s = (-d[::-1], s[::-1]) if flip else (d, s)
+    # solved and checked at unit scale, reached by an exact power of 4, so
+    # that no product in the iteration or the checks under- or overflows
+    exponent = math.frexp(max(abs(ds[0]), abs(ds[-1]), float(s @ s)))[1] // 2
+    ds, s = np.ldexp(ds, -2 * exponent), np.ldexp(s, -exponent)
+    x, u = _rank_one_update(ds, s)
+
+    w = s * s
+    scale = math.sqrt(np.sum((ds + w) ** 2) + max(np.sum(w) ** 2 - np.sum(w * w), 0.0))
+    check = np.subtract(ds[None, :], x[:, None])
+    check *= u
+    check += np.outer(u @ s, s)
+    residual = math.sqrt(np.einsum("ij,ij->", check, check))
+    if not residual <= _RESIDUAL_TOL * scale:
+        raise AccuracyError(
+            f"rank-one eigendecomposition residual {residual / scale:.3e} ||H|| "
+            f"exceeds {_RESIDUAL_TOL:g} ||H||"
+        )
+    gram = np.matmul(u, u.T, out=check)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    drift = math.sqrt(np.einsum("ij,ij->", gram, gram))
+    if not drift <= _ORTHOGONALITY_TOL:
+        raise AccuracyError(
+            f"rank-one eigenvectors: ||U^T U - I||_F = {drift:.3e} exceeds "
+            f"{_ORTHOGONALITY_TOL:g}"
+        )
+    x = np.ldexp(x, 2 * exponent)
+    if flip:
+        x, u = -x[::-1], np.ascontiguousarray(u[::-1, ::-1])
+    return SpectralOperator(eigenvalues=x, vectors=u.T)
 
 
 @dataclass(frozen=True)

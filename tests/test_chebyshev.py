@@ -21,8 +21,9 @@ from euscat.chebyshev import (
     uniform_error_report,
 )
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
+from euscat.kato_birman import _hamiltonian
 from euscat.model import default_model
-from euscat.spectral import GridSpec, Semigroup, build_grid, diagonalize, discretize_h
+from euscat.spectral import GridSpec, Semigroup, build_grid, diagonalize
 
 # Reference row errors for degree 300, oscillation magnitude 220 on [0, 1]:
 # (x, err in the cosine component, err in the sine component).  Published
@@ -203,8 +204,7 @@ class _CountingSemigroup:
 @pytest.fixture(scope="module")
 def semigroup():
     grid = build_grid(GridSpec(panels=[(0.0, 278.0, 100), (278.0, 6000.0, 300)]))
-    op = diagonalize(discretize_h(default_model(), grid))
-    return Semigroup(op=op, beta=5e-4)
+    return Semigroup(op=_hamiltonian(default_model(), grid, None), beta=5e-4)
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,27 @@ class TestOperatorApplication:
         counting = _CountingSemigroup(semigroup)
         apply_to_semigroup(exp, counting, vector)
         assert counting.calls == exp.degree + 1
+
+    def test_in_place_steps_round_as_the_written_out_recurrence(self, semigroup):
+        _, hi = semigroup.bounds()
+        exp = expansion_coefficients(30.0, 120, domain=(0.0, hi))
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((semigroup.op.size, 2)) + 1j * rng.standard_normal(
+            (semigroup.op.size, 2)
+        )
+        before = block.copy()
+        scale, shift = 2.0 / hi, 1.0
+
+        def rescaled(u):
+            return scale * semigroup.apply(u) - shift * u
+
+        c = exp.coefficients
+        b1 = b2 = np.zeros_like(block)
+        for j in range(exp.degree, 0, -1):
+            b1, b2 = c[j] * block + 2.0 * rescaled(b1) - b2, b1
+        reference = 0.5 * c[0] * block + rescaled(b1) - b2
+        assert np.array_equal(apply_to_semigroup(exp, semigroup, block), reference)
+        assert np.array_equal(block, before)
 
     def test_spectrum_outside_domain_rejected_with_bounds(self, semigroup, vector):
         exp = expansion_coefficients(220.0, 300)  # domain [0, 1] too small

@@ -17,6 +17,7 @@ from euscat.config import RunConfig
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from euscat.kato_birman import (
     KBConfig,
+    _hamiltonian,
     beta_for,
     delta_e_overlap,
     exact_s_in_packets,
@@ -42,7 +43,8 @@ FREE = SeparableModel(MODEL.mass, 0.0)
 
 GRID_1GEV = build_grid(packet_grid_spec(1000.0, 100.0, 300, 5e-4))
 PACKET_1GEV = make_packet(1000.0, 100.0, GRID_1GEV)
-OP_1GEV = diagonalize(discretize_h(MODEL, GRID_1GEV))
+# the operator the pipeline builds for itself, so op=OP_1GEV runs the same numbers
+OP_1GEV = _hamiltonian(MODEL, GRID_1GEV, None)
 
 
 class TestWavePacket:
@@ -165,7 +167,7 @@ class TestKBOverlap:
 
     def test_rejects_mismatched_operator(self):
         other = build_grid(GridSpec(panels=[(0.0, 278.0, 16), (278.0, 6000.0, 48)]))
-        bad_op = diagonalize(discretize_h(MODEL, other))
+        bad_op = _hamiltonian(MODEL, other, None)
         with pytest.raises(PreconditionError):
             kb_s_overlap(MODEL, KBConfig(), PACKET_1GEV, PACKET_1GEV, op=bad_op)
 
@@ -236,6 +238,26 @@ class TestSweep:
         rows = sweep_n(MODEL, KBConfig(), [10, 20, 40], PACKET_1GEV, PACKET_1GEV)
         assert len(rows) == 3
         assert built == [5e-4]
+
+    def test_production_path_never_calls_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the production path called np.linalg.eigh")
+
+        built = []
+        original = spectral.Semigroup.__post_init__
+
+        def counting(self):
+            built.append(self.op)
+            original(self)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(spectral.Semigroup, "__post_init__", counting)
+        est = extract_sharp_t(MODEL, KBConfig(n=50, beta=None, beta_x=0.5), 600.0)
+        assert math.isfinite(abs(est.t_approx))
+        assert len(built) == 1
+        rows = sweep_n(MODEL, KBConfig(), [10, 20, 40], PACKET_1GEV, PACKET_1GEV)
+        assert len(rows) == 3 and len(built) == 2
+        assert built[1] is not built[0]
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_rows_equal_single_overlaps_bit_for_bit(self, primed):

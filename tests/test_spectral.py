@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from euscat import spectral
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
-from euscat.model import SeparableModel, bound_state_energy, default_model
+from euscat.model import SeparableModel, bound_state_energy, critical_coupling, default_model
 from euscat.spectral import (
     GridSpec,
     Semigroup,
@@ -135,6 +135,184 @@ class TestDiscretizeAndDiagonalize:
             diagonalize(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(PreconditionError):
             diagonalize(np.ones((2, 3)))
+
+
+EPS = np.finfo(float).eps
+
+
+def _rank_one_check(d, v, coupling):
+    """The structured eigensolver on diag(d) - coupling v v^T against eigh of
+    the dense matrix: a typed error, or ascending eigenvalues within
+    16 N eps ||H||_F of eigh's, residual within 1e-10 ||H||_F and
+    ||U^T U - I||_F within 1e-10, both recomputed here from the dense H."""
+    h = np.diag(d) - coupling * np.outer(v, v)
+    try:
+        op = spectral._rank_one_operator(d, v, coupling)
+    except AccuracyError:
+        return None
+    n = d.size
+    scale = np.linalg.norm(h)
+    u, e = op.vectors, op.eigenvalues
+    assert np.all(np.isfinite(e)) and np.all(np.isfinite(u))
+    assert np.all(np.diff(e) >= 0.0)
+    assert np.max(np.abs(e - np.linalg.eigvalsh(h))) <= 16 * n * EPS * scale
+    assert np.linalg.norm(h @ u - u * e) <= 1e-10 * scale
+    assert np.linalg.norm(u.T @ u - np.eye(n)) <= 1e-10
+    return op
+
+
+@st.composite
+def rank_one_problems(draw):
+    """Ascending d, some gaps from 1e4 down to 0 times eps ||d||; v with
+    entries from 1 down to 1e-15 or to 1e-300, and exact zeros; coupling 0,
+    attractive, repulsive, 1e-8 past critical (d shifted positive, so
+    lambda_c = 1 / sum v^2/d) or 1e6x."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    d = np.sort(np.array(draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n))))
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 2))
+        ulps = draw(st.sampled_from([0.0, 0.5, 1.0, 4.0, 64.0, 1e3, 1e4]))
+        d[i + 1 :] = np.maximum(d[i + 1 :], d[i] + ulps * EPS * np.max(np.abs(d)))
+    smallest = draw(st.sampled_from([-15.0, -300.0]))
+    exponents = np.array(draw(st.lists(
+        st.floats(smallest, 0.0), min_size=n, max_size=n)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n)))
+    v = signs * 10.0**exponents
+    kind = draw(st.sampled_from(["zero", "attractive", "repulsive", "critical", "huge"]))
+    size = 10.0 ** draw(st.floats(-3.0, 6.0))
+    if kind == "critical":
+        d = d - d[0] + 1.0
+        inverse = np.sum(v * v / d)
+        coupling = (1.0 + 1e-8) / inverse if inverse > 1e-300 else 1.0
+    else:
+        coupling = {"zero": 0.0, "attractive": size, "repulsive": -size,
+                    "huge": 1e6 * size * draw(st.sampled_from([-1.0, 1.0]))}[kind]
+    return d, v, coupling
+
+
+class TestRankOneSolver:
+    """The production eigensolver of H = diag(d) - coupling v v^T."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(problem=rank_one_problems())
+    def test_matches_eigh_or_raises_a_typed_error(self, problem):
+        _rank_one_check(*problem)
+
+    @pytest.mark.parametrize("coupling", [
+        0.0,
+        -MODEL.coupling,
+        critical_coupling() * (1.0 + 1e-8),
+        MODEL.coupling,
+        1e6 * MODEL.coupling,
+    ], ids=["zero", "repulsive", "near-critical", "default", "huge"])
+    def test_model_couplings_on_a_production_grid(self, coupling):
+        d, v = spectral._separable_terms(MODEL, SMALL_GRID)
+        assert _rank_one_check(d, v, coupling) is not None
+
+    def test_matches_the_dense_path(self):
+        d, v = spectral._separable_terms(MODEL, GRID)
+        op = spectral._rank_one_operator(d, v, MODEL.coupling)
+        scale = np.linalg.norm(discretize_h(MODEL, GRID))
+        assert np.max(np.abs(op.eigenvalues - OP.eigenvalues)) <= 1e-14 * scale
+        dense = Semigroup(op=OP, beta=5e-4).matrix
+        assert np.linalg.norm(Semigroup(op=op, beta=5e-4).matrix - dense) <= 1e-13
+
+    def test_zero_coupling_is_the_kinetic_diagonal(self):
+        d = np.array([0.5, 1.0, 4.0])
+        op = spectral._rank_one_operator(d, np.ones(3), 0.0)
+        assert np.array_equal(op.eigenvalues, d)
+        assert np.array_equal(op.vectors, np.eye(3))
+
+    def test_deflates_equal_poles_and_zero_components(self):
+        d = np.array([1.0, 2.0, 2.0, 3.0])
+        op = _rank_one_check(d, np.array([0.5, 0.6, 0.8, 0.0]), -0.7)
+        # the rotation leaves 2 (c^2 + s^2) for the pair at 2, the zero component 3
+        assert np.min(np.abs(op.eigenvalues - 2.0)) <= 4 * EPS
+        assert 3.0 in op.eigenvalues
+
+    def test_negligible_component_keeps_its_pole_and_unit_vector(self):
+        # |v_1| ||v|| = 1.4e-20 is below 8 eps max(|d|, ||v||^2) = 5.3e-15
+        op = _rank_one_check(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1e-20, 1.0]), -1.0)
+        column = int(np.flatnonzero(op.eigenvalues == 2.0)[0])
+        assert np.array_equal(np.abs(op.vectors[:, column]), [0.0, 1.0, 0.0])
+
+    def test_recomputed_weights_keep_clustered_vectors_orthogonal(self):
+        # four poles within 8e-10: vectors from v itself reach 1.6e-13 here,
+        # the Gu-Eisenstat weights about 3e-16
+        d = np.array([5.520151352236907, 5.5201513530334445, 5.5201513534317135,
+                      5.5201513538299825])
+        v = np.array([-1.3884520707118678e-01, -7.7958131213176393e-05,
+                      9.8154143707311861e-02, -5.9496961110257347e-05])
+        op = _rank_one_check(d, v, 63.0224254146562)
+        assert np.linalg.norm(op.vectors.T @ op.vectors - np.eye(4)) <= 1e-14
+
+    def test_switches_to_the_middle_way_when_fixed_weight_stalls(self):
+        # three poles within 2e-11 and weights over eleven decades: fixed-weight
+        # steps alone pass the iteration cap on the root between the last two
+        d = np.array([-10.61359765550832, 0.9345269837507281, 0.9345269837612706,
+                      0.9345269837823557])
+        v = np.array([1.5539107462940382e-13, 4.3160242715759820e-07,
+                      -6.3698006752074119e-05, 2.2623249989409122e-02])
+        assert _rank_one_check(d, v, 217.68069225081737) is not None
+
+    def test_largest_root_next_to_a_light_pole(self):
+        # the root sits 1.3e-26 above the pole at 0: a step from the midpoint
+        # 0.125 would cancel to nothing, so the model is solved for the offset
+        op = _rank_one_check(np.array([-1.0, 0.0]), np.array([0.5, 1e-13]), -1.0)
+        assert op.eigenvalues[1] == pytest.approx(1e-26 / 0.75, rel=1e-14)
+
+    def test_largest_root_at_the_end_of_its_bracket(self):
+        # six poles rotate down to two, and the largest root lies within
+        # rounding of d_{K-1} + sum(w), the closed end of its bracket
+        d = np.array([-76.99920832569258, -38.06246888549636, -38.06246888545078,
+                      -38.0624688854052, -38.062468885268466, -38.06246888522289])
+        v = np.array([9.8177831664270488e-12, -3.3968764047842095e-07,
+                      -6.4980463617977768e-02, -2.1466104788176113e-06,
+                      -2.2287462314690601e-09, -7.7691013059284147e-07])
+        assert _rank_one_check(d, v, -6.5150563066102665) is not None
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    @pytest.mark.parametrize("coupling", [1.0, -1.0])
+    def test_extreme_scales_are_solved_at_unit_scale(self, scale, coupling):
+        # the dense reference would overflow at 1e200: compare with scale 1
+        d = np.array([1.0, 2.0, 3.0, 4.0])
+        unit = spectral._rank_one_operator(d, np.ones(4), coupling)
+        op = spectral._rank_one_operator(scale * d, np.full(4, math.sqrt(scale)), coupling)
+        assert np.allclose(op.eigenvalues / scale, unit.eigenvalues, rtol=1e-14, atol=0.0)
+        assert np.allclose(np.abs(op.vectors), np.abs(unit.vectors), rtol=0.0, atol=1e-14)
+
+    def test_rejects_a_descending_diagonal(self):
+        with pytest.raises(PreconditionError):
+            spectral._rank_one_operator(np.array([2.0, 1.0]), np.ones(2), 1.0)
+
+    def test_secular_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_SECULAR_ITERATIONS", 1)
+        d, v = spectral._separable_terms(MODEL, SMALL_GRID)
+        with pytest.raises(AccuracyError, match="not converged"):
+            spectral._rank_one_operator(d, v, MODEL.coupling)
+
+    def test_residual_check_rejects_wrong_vectors(self, monkeypatch):
+        original = spectral._rank_one_update
+
+        def perturbed(d, v):
+            x, u = original(d, v)
+            return x, u[::-1]
+
+        monkeypatch.setattr(spectral, "_rank_one_update", perturbed)
+        with pytest.raises(AccuracyError, match="residual"):
+            spectral._rank_one_operator(np.array([1.0, 2.0, 3.0]), np.ones(3), 0.5)
+
+    def test_orthogonality_check_rejects_a_repeated_eigenspace(self, monkeypatch):
+        # eigenvalue 1 twice: rows e_0 and (e_0 + e_1)/sqrt(2) leave no residual
+        def skewed(d, v):
+            u = np.eye(3)
+            u[1, :2] = math.sqrt(0.5)
+            return np.array([d[0], d[1], d[2] + v[2] ** 2]), u
+
+        monkeypatch.setattr(spectral, "_rank_one_update", skewed)
+        with pytest.raises(AccuracyError, match="U\\^T U - I"):
+            spectral._rank_one_operator(np.array([1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]), -1.0)
 
 
 class TestSemigroup:
