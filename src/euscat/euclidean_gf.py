@@ -209,14 +209,10 @@ def _pairs(bras, kets) -> _Pairs:
     constants of the radial integrand, for each (bra, ket) pair."""
 
     def fields(fns):
-        return (
-            np.array([fn.tau_center for fn in fns], dtype=float),
-            np.array([fn.tau_width for fn in fns], dtype=float),
-            np.array([fn.space_width for fn in fns], dtype=float),
-            np.array([fn.momentum for fn in fns], dtype=float).reshape(-1, 3),
-            np.array([fn.center for fn in fns], dtype=float).reshape(-1, 3),
-            np.array([fn.amplitude for fn in fns], dtype=complex),
-        )
+        rows = [(f.tau_center, f.tau_width, f.space_width, *f.momentum, *f.center) for f in fns]
+        table = np.array(rows, dtype=float).reshape(-1, 9)
+        amplitudes = np.array([f.amplitude for f in fns], dtype=complex)
+        return (*table[:, :3].T, table[:, 3:6], table[:, 6:], amplitudes)
 
     tb, stb, sxb, pb, cb, ab = fields(bras)
     tk, stk, sxk, pk, ck, ak = fields(kets)
@@ -288,9 +284,7 @@ class CovarianceKernel:
         counts = counts.astype(int)
         present = counts > 0
         lo, hi = pairs.edges[:, :-1][present], pairs.edges[:, 1:][present]
-        p, wp = _panel_nodes(
-            list(zip(lo.tolist(), hi.tolist(), counts[present].tolist()))
-        )
+        p, wp = _panel_nodes(lo, hi, counts[present])
         sizes = np.sum(counts, axis=1)
 
         def per_node(constant: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AccuracyError, DomainError
 
@@ -99,6 +98,9 @@ def _radial_resolvent(model: SeparableModel, energy, side: str = "above"):
 
 
 def _radial_resolvent_quadrature(model: SeparableModel, energy: float, side: str) -> complex:
+    # only this reference path needs it, and it loads scipy.optimize and scipy.linalg
+    from scipy import integrate
+
     m = model.mass
     zp = m * energy
 

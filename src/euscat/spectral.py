@@ -120,12 +120,10 @@ def _legendre_roots(count: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_nodes(
-    panels: Sequence[Tuple[float, float, int]],
+    lo: np.ndarray, hi: np.ndarray, counts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenated Gauss-Legendre nodes and weights, order ``count`` on each
-    consecutive (lo, hi, count) panel."""
-    lo, hi, counts = (np.array(column) for column in zip(*panels))
-    counts = counts.astype(int)
+    """Concatenated Gauss-Legendre nodes and weights, order ``counts[i]`` (an
+    integer array) on each consecutive panel [lo[i], hi[i]]."""
     roots = [_legendre_roots(count) for count in counts.tolist()]
     mid = np.repeat(0.5 * (lo + hi), counts)
     half = np.repeat(0.5 * (hi - lo), counts)
@@ -152,7 +150,8 @@ def build_grid(spec: GridSpec) -> RadialGrid:
             raise ConfigError(f"panel point count must be an integer >= 1, got {count}")
         expected_lo = hi
     desc = "+".join(f"GL[{lo:g},{hi:g}]x{int(n)}" for lo, hi, n in panels)
-    nodes, weights = _panel_nodes([(float(lo), float(hi), n) for lo, hi, n in panels])
+    lo, hi, counts = np.array(panels, dtype=float).T
+    nodes, weights = _panel_nodes(lo, hi, counts.astype(int))
     return RadialGrid(
         nodes=nodes,
         weights=weights,
@@ -205,6 +204,13 @@ _MAX_SECULAR_ITERATIONS = 30
 _ORTHOGONALITY_TOL = 1e-10
 
 
+def _between_poles(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The root of c eta^2 - a eta + b = 0 between the two poles of a secular
+    model, in the form that does not cancel against a."""
+    disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+    return np.where(a <= 0.0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
+
+
 def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues x (ascending) and eigenvectors, as the rows of U, of
     diag(d) + v v^T for strictly ascending d and v without zeros: the roots
@@ -225,12 +231,15 @@ def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     first guess solves the model with both poles of the interval exact and
     the rest frozen at the midpoint.  If |f| falls by less than 10x in a
     step, a root switches to the middle way, each pole carrying the part of
-    f' from its side, and back again on the next such step.  The last root
-    has every pole on one side; from the midpoint of its interval, its model
-    keeps the 1 and its own pole exact and fits one pole of free position to
-    the others.  A step that leaves the bracket kept by the sign of f bisects
-    it.  A root has converged when |f| is below the rounding bound of its
-    evaluation, eps (8 sum_j |w_j/(d_j - x)| + 2 + |tau| f').
+    f' from its side, and back again on the next such step.  Each of these
+    models is a quadratic in the offset from the origin, solved between its
+    poles by ``_between_poles`` (the other pole at -gap from an upper
+    origin).  The last root has every pole on one side; from the midpoint of
+    its interval, its model keeps the 1 and its own pole exact and fits one
+    pole of free position to the others.  A step that leaves the bracket
+    kept by the sign of f bisects it.  A root has converged when |f| is
+    below the rounding bound of its evaluation,
+    eps (8 sum_j |w_j/(d_j - x)| + 2 + |tau| f').
 
     The vectors are u_a ~ z / (d - x_a), with z recomputed from the roots
     (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15 (1994) 1266),
@@ -256,26 +265,18 @@ def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
         np.divide(1.0, work, out=work)
         f_mid = 1.0 + work @ w
         lower = f_mid > 0.0
+        # d of the interval's other pole, less d of the origin
+        to_far = np.where(lower, gap, -gap)
+        weight = np.where(lower, w_lo, w_up)
         c = f_mid + (w_lo - w_up) / half
-        a = np.where(lower, c * gap + w_lo + w_up, c * gap - w_lo - w_up)
-        b = np.where(lower, w_lo, w_up) * gap
-        disc = np.sqrt(np.abs(a * a - np.where(lower, 4.0, -4.0) * b * c))
-        tau = np.where(
-            lower,
-            np.where(a > 0.0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c)),
-            np.where(a < 0.0, 2.0 * b / (a - disc), -(a + disc) / (2.0 * c)),
-        )
+        tau = _between_poles(c * to_far + w_lo + w_up, weight * to_far, c)
     lo = np.where(lower, 0.0, -half)
     hi = np.where(lower, half, 0.0)
-    valid = np.where(lower, (tau > 0.0) & (tau <= hi), (tau >= lo) & (tau < 0.0))
-    tau = np.where(valid, tau, 0.5 * (lo + hi))
+    tau = np.where((tau != 0.0) & (lo <= tau) & (tau <= hi), tau, 0.5 * (lo + hi))
     # the last root is kept against d_{K-1}
     origin = np.append(np.where(lower, np.arange(k - 1), np.arange(1, k)), k - 1)
     shifted = spacing[origin]
-    # d of the interval's other pole, less d of the origin
-    to_far = np.where(lower, gap, -gap)
 
-    weight = np.where(lower, w_lo, w_up)
     rows = np.arange(k - 1)
     middle = np.zeros(k - 1, dtype=bool)
     previous = np.full(k - 1, np.nan)
@@ -315,11 +316,7 @@ def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
                 d_lo = np.where(at_lower, near, other)
                 d_up = np.where(at_lower, other, near)
                 c[switched] = f[switched] - d_lo * (df[switched] - upper_df) - d_up * upper_df
-            # its root between the poles: c eta^2 - a eta + b = 0
-            a = (far - t) * f + t * far * df
-            b = -t * far * f
-            disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
-            eta = np.where(a <= 0.0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
+            eta = _between_poles((far - t) * f + t * far * df, -t * far * f, c)
             eta = np.where(f * eta < 0.0, eta, -f / df)
             trial = t + eta
             inside = (trial > lo_r) & (trial < hi_r)

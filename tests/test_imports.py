@@ -12,10 +12,18 @@ Python itself, and a re-export in ``__init__.py`` is not a use.
 Every function the benchmark traces (``LAYERS`` in ``bench/spans.py``, read
 with ``ast`` so the bench is not imported) exists in the package; the tracer
 only warns about a missing one, and its layer metrics would read 0.
+
+``import euscat`` leaves out ``scipy.integrate``, which only the quadrature
+reference of ``euscat.model`` imports when it runs, and the
+``scipy.optimize`` and ``scipy.sparse.linalg`` that it loads: each is
+start-up time of every process.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +126,19 @@ def test_every_traced_layer_exists():
     layers = traced_layers((TESTS.parent / "bench" / "spans.py").read_text())
     assert layers
     assert [f"{m}.{a}" for m, a in layers if not resolves(m, a)] == []
+
+
+def test_import_loads_no_unused_scipy_subpackage():
+    # a fresh interpreter, handed the directory that holds the package under test
+    probe = "import sys, euscat; print(' '.join(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "euscat" in loaded
+    heavy = {"scipy.integrate", "scipy.optimize", "scipy.sparse.linalg"}
+    assert sorted(heavy & loaded) == []
