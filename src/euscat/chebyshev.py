@@ -29,7 +29,8 @@ from .spectral import Semigroup
 
 _DOMAIN_SLACK = 1e-12
 # each degree costs one semigroup application; at this degree one Clenshaw
-# pass on a 500-point grid already takes about a minute
+# pass over one column in the eigenbasis of a 500-point grid takes about 11 s
+# (11 us per step on a 2-core VM)
 _MAX_DEGREE = 1_000_000
 
 
@@ -115,9 +116,10 @@ def evaluate_scalar(exp: ChebyshevExpansion, x):
 def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) -> np.ndarray:
     """The expansion evaluated at the operator e^{-beta H}, applied to v.
 
-    Clenshaw recurrence in operator form: degree applications of the
-    semigroup, never an explicit function of the matrix.  The semigroup
-    spectrum must lie inside the expansion domain.
+    Clenshaw recurrence in operator form: degree + 1 applications of the
+    semigroup, never an explicit function of the matrix.  v is in the
+    coordinates ``sg.apply`` takes: eigen-coordinates for a ``Semigroup``.
+    The semigroup spectrum must lie inside the expansion domain.
     """
     a, b = exp.domain
     lo, hi = sg.bounds()

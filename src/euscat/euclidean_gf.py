@@ -102,12 +102,23 @@ class EuclideanTestFunction:
     def is_real_profile(self) -> bool:
         return self.momentum == _ZERO3 and self.amplitude.imag == 0.0
 
+    def _derived(self, **changes) -> "EuclideanTestFunction":
+        """A copy with ``changes`` set as given, without ``__post_init__``:
+        the other fields were validated when this instance was made, and each
+        caller passes finite values of the stored types."""
+        new = object.__new__(EuclideanTestFunction)
+        new.__dict__.update(self.__dict__, **changes)
+        return new
+
     def reflected(self) -> "EuclideanTestFunction":
         """Euclidean time reflection tau -> -tau."""
-        return replace(self, tau_center=-self.tau_center)
+        return self._derived(tau_center=-self.tau_center)
 
     def shifted_in_time(self, dt: float) -> "EuclideanTestFunction":
-        return replace(self, tau_center=self.tau_center + dt)
+        tau_center = self.tau_center + dt
+        if not math.isfinite(tau_center):
+            raise DomainError(f"tau_center must be finite, got {tau_center}")
+        return self._derived(tau_center=tau_center)
 
     def translated(self, shift) -> "EuclideanTestFunction":
         """f(x - shift): moves the center and carries the plane-wave phase."""
@@ -119,10 +130,13 @@ class EuclideanTestFunction:
     def conjugated(self) -> "EuclideanTestFunction":
         """Pointwise complex conjugate: flips momentum, conjugates amplitude."""
         p = tuple(-x for x in self.momentum)
-        return replace(self, momentum=p, amplitude=self.amplitude.conjugate())
+        return self._derived(momentum=p, amplitude=self.amplitude.conjugate())
 
     def scaled(self, factor: complex) -> "EuclideanTestFunction":
-        return replace(self, amplitude=self.amplitude * factor)
+        amplitude = complex(self.amplitude * factor)
+        if not cmath.isfinite(amplitude):
+            raise DomainError(f"amplitude must be finite, got {amplitude}")
+        return self._derived(amplitude=amplitude)
 
 
 @dataclass(frozen=True)

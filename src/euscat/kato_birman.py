@@ -20,8 +20,11 @@ psi and u' = e^{-in exp(-beta H0)} conj(psi'),
 
 One Chebyshev series p of e^{inx}, of half the degree of one for e^{2inx},
 acts on the block [u, u'] (on u alone when u' = u, as for identical real
-packets).  The same identity holds for p, and a per-factor uniform error of
-5e-13 bounds the overlap's by sup|p^2 - e^{2inx}| <= tol (2 + tol) < 1e-12.
+packets), in its eigen-coordinates U^T [u, u']: there A is diagonal, so each
+semigroup application is an elementwise product with e^{-beta E}, and as U is
+orthogonal the sum above is the same in either coordinates.  The same
+identity holds for p, and a per-factor uniform error of 5e-13 bounds the
+overlap's by sup|p^2 - e^{2inx}| <= tol (2 + tol) < 1e-12.
 
 Conventions: S(k) = 1 - i pi m k t(k), energy density rho(E) = m k / 2.
 The sharp amplitude comes from the quotient
@@ -273,18 +276,29 @@ def _hamiltonian(
 _HALF_PHASE_TOL = 5e-13
 
 
+def _phased_coordinates(
+    op: SpectralOperator, free_phase: np.ndarray, psi_prime: WavePacket, psi: WavePacket
+) -> np.ndarray:
+    """U^T [u], or U^T [u, u'] when u' != u, for u = free_phase psi and
+    u' = free_phase conj(psi') in the weighted grid basis: one real product.
+    As U is orthogonal, u'^T f(H) u = c'^T (f(E) c) on these columns."""
+    u = free_phase * psi.weighted()
+    u_prime = free_phase * np.conj(psi_prime.weighted())
+    block = [u] if np.array_equal(u_prime, u) else [u, u_prime]
+    return op.coordinates(np.column_stack(block))
+
+
 def _half_phase_overlap(
     sg: Semigroup, n: int, mass: float, psi_prime: WavePacket, psi: WavePacket
 ) -> complex:
     """u'^T e^{2inA} u by the half-phase identity of the module docstring:
-    one series for e^{inA} acts on the block [u], or [u, u'] when u' != u."""
+    one series for e^{inA} acts on the eigen-coordinates of the block [u], or
+    [u, u'] when u' != u."""
     _, hi = sg.bounds()
     expansion = converged_expansion(n, (0.0, hi), tol=_HALF_PHASE_TOL)
     free_phase = np.exp(-1j * n * np.exp(-sg.beta * psi.grid.nodes**2 / mass))
-    u = free_phase * psi.weighted()
-    u_prime = free_phase * np.conj(psi_prime.weighted())
-    block = [u] if np.array_equal(u_prime, u) else [u, u_prime]
-    halves = apply_to_semigroup(expansion, sg, np.column_stack(block))
+    coords = _phased_coordinates(sg.op, free_phase, psi_prime, psi)
+    halves = apply_to_semigroup(expansion, sg, coords)
     return complex(halves[:, -1] @ halves[:, 0])
 
 
@@ -302,7 +316,8 @@ def kb_s_overlap(
     ``propagator`` selects how e^{2 i n exp(-beta H)} acts: "chebyshev" is the
     production path (polynomial in the semigroup); "exact" evaluates the
     spectral mapping directly and exists to isolate the polynomial layer's
-    error in tests.
+    error in tests.  Both act on the same eigen-coordinates, so they differ
+    only in the function of the eigenvalues.
     """
     grid = _require_shared_grid(psi_prime, psi)
     beta = _resolve_beta(model, cfg, psi.center)
@@ -311,12 +326,12 @@ def kb_s_overlap(
         sg = Semigroup(operator, beta)
         return _half_phase_overlap(sg, cfg.n, model.mass, psi_prime, psi)
     if propagator == "exact":
-        # the overflow check of the Semigroup, without forming its matrix
+        # the overflow check of the Semigroup, which this path does not build
         semigroup_bounds(operator, beta)
         free_phase = np.exp(-1j * cfg.n * np.exp(-beta * grid.nodes**2 / model.mass))
+        coords = _phased_coordinates(operator, free_phase, psi_prime, psi)
         images = np.exp(2j * cfg.n * np.exp(-beta * operator.eigenvalues))
-        mid = operator.apply_images(images, free_phase * psi.weighted())
-        return complex(np.vdot(psi_prime.weighted(), free_phase * mid))
+        return complex(coords[:, -1] @ (images * coords[:, 0]))
     raise ValueError(f"unknown propagator {propagator!r}")
 
 
@@ -353,9 +368,9 @@ def time_limit_s_overlap(
     grid = _require_shared_grid(psi_prime, psi)
     operator = _hamiltonian(model, grid, op)
     free_phase = np.exp(1j * t * grid.nodes**2 / model.mass)
-    v = free_phase * psi.weighted()
-    mid = operator.apply_images(np.exp(-2j * t * operator.eigenvalues), v)
-    return complex(np.vdot(psi_prime.weighted(), free_phase * mid))
+    coords = _phased_coordinates(operator, free_phase, psi_prime, psi)
+    images = np.exp(-2j * t * operator.eigenvalues)
+    return complex(coords[:, -1] @ (images * coords[:, 0]))
 
 
 def delta_e_overlap(psi_prime: WavePacket, psi: WavePacket) -> float:

@@ -14,9 +14,11 @@ diagonal plus rank one, diag(k^2/m) - coupling v v^T, so the scattering
 pipeline never forms it: ``_rank_one_operator`` solves the secular equation
 in O(N^2) work per iteration, where ``diagonalize``, kept for any dense
 symmetric input such as ``discretize_h``, calls eigh at O(N^3).  A
-``Semigroup`` owns the dense real matrix U diag(e^{-beta E}) U^T of its one
-beta, formed when it is constructed; complex vectors meet real matrices
-through a zero-copy real view, so no matrix is ever copied to complex.  Only
+``Semigroup`` is e^{-beta H} in the eigenbasis: on eigen-coordinates
+c = U^T u it is the elementwise product with the images e^{-beta E} of its one
+beta, so no N x N function of H is ever formed.  ``semigroup_apply`` takes
+grid coordinates u and goes through U^T and U; complex vectors meet the real
+U through a zero-copy real view, so U is never copied to complex.  Only
 the contractive direction beta >= 0 is exposed.  With an attractive coupling the
 spectrum dips below zero, so the upper semigroup bound exceeds 1 by
 e^{-beta E_bound}; downstream polynomial approximation widens its domain
@@ -67,6 +69,10 @@ class RadialGrid:
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # an eigendecomposition is rejected above ||HU - U diag(E)||_F / ||H||_F
 _RESIDUAL_TOL = 1e-10
+# largest grid build_grid accepts: the eigensolver and its checks hold about
+# five N x N float64 arrays, 40 N^2 bytes, 2.7 GB at this N; an n = 10^4
+# t-scan layout has N = 5050-5130
+_MAX_GRID_POINTS = 8192
 
 
 def _real_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -99,10 +105,15 @@ class SpectralOperator:
     def size(self) -> int:
         return self.eigenvalues.size
 
+    def coordinates(self, v: np.ndarray) -> np.ndarray:
+        """U^T v: the eigen-coordinates of a real or complex vector, or of the
+        columns of a block, as one real matrix product."""
+        return _real_product(self.vectors.T, v)
+
     def apply_images(self, images: np.ndarray, v: np.ndarray) -> np.ndarray:
         """U diag(images) U^T v: the function of H with values ``images`` at
         the eigenvalues, applied to a vector or to the columns of a matrix."""
-        coeffs = _real_product(self.vectors.T, v)
+        coeffs = self.coordinates(v)
         if coeffs.ndim == 2:
             images = images[:, None]
         return _real_product(self.vectors, images * coeffs)
@@ -151,6 +162,13 @@ def build_grid(spec: GridSpec) -> RadialGrid:
         expected_lo = hi
     desc = "+".join(f"GL[{lo:g},{hi:g}]x{int(n)}" for lo, hi, n in panels)
     lo, hi, counts = np.array(panels, dtype=float).T
+    size = int(np.sum(counts))
+    if size > _MAX_GRID_POINTS:
+        raise AccuracyError(
+            f"grid of N = {size} points would need about {40 * size**2 / 1e9:.3g} GB "
+            f"in N x N arrays; the limit is N = {_MAX_GRID_POINTS} "
+            f"({40 * _MAX_GRID_POINTS**2 / 1e9:.3g} GB)"
+        )
     nodes, weights = _panel_nodes(lo, hi, counts.astype(int))
     return RadialGrid(
         nodes=nodes,
@@ -489,33 +507,38 @@ def _rank_one_operator(d: np.ndarray, v: np.ndarray, coupling: float) -> Spectra
 
 @dataclass(frozen=True)
 class Semigroup:
-    """e^{-beta H} for one finite beta > 0 as the read-only dense matrix
-    U diag(e^{-beta E}) U^T, formed once the bounds check passes."""
+    """e^{-beta H} for one finite beta > 0 in the eigenbasis of ``op``.
+
+    ``apply`` takes eigen-coordinates c = U^T u (``op.coordinates``), where
+    the semigroup is the elementwise product with the read-only images
+    e^{-beta E}, formed once the bounds check passes; ``semigroup_apply`` is
+    the same operator on grid coordinates.
+    """
 
     op: SpectralOperator
     beta: float
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bounds()
-        u = self.op.vectors
-        matrix = (u * np.exp(-self.beta * self.op.eigenvalues)) @ u.T
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        images = np.exp(-self.beta * self.op.eigenvalues)
+        images.setflags(write=False)
+        object.__setattr__(self, "images", images)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """e^{-beta H} v as one real matrix product with ``matrix``; v is a
-        real or complex vector or N x K block."""
-        return _real_product(self.matrix, v)
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """e^{-beta H} on eigen-coordinates: a fresh array images * c for a
+        real or complex vector, or row-wise for an N x K block."""
+        c = np.asarray(c)
+        return (self.images if c.ndim == 1 else self.images[:, None]) * c
 
     def bounds(self) -> Tuple[float, float]:
         return semigroup_bounds(self.op, self.beta)
 
 
 def semigroup_apply(op: SpectralOperator, beta: float, v: np.ndarray) -> np.ndarray:
-    """e^{-beta H} v through the eigenbasis; beta must be finite and >= 0,
-    and a beta > 0 whose bound e^{-beta E_0} overflows raises
-    ``AccuracyError``."""
+    """e^{-beta H} v for v in grid coordinates, through U^T and U; beta must
+    be finite and >= 0, and a beta > 0 whose bound e^{-beta E_0} overflows
+    raises ``AccuracyError``."""
     if not (math.isfinite(beta) and beta >= 0):
         raise DomainError(f"beta must be finite and >= 0, got {beta}")
     if beta > 0:

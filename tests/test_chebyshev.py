@@ -221,9 +221,11 @@ class TestOperatorApplication:
         return op.vectors @ (images * (op.vectors.T @ v))
 
     def test_matches_spectral_oracle(self, semigroup, vector):
+        # the semigroup acts on eigen-coordinates; the oracle on the grid
+        op = semigroup.op
         lo, hi = semigroup.bounds()
         exp = converged_expansion(220.0, (0.0, hi), tol=1e-13)
-        approx = apply_to_semigroup(exp, semigroup, vector)
+        approx = op.vectors @ apply_to_semigroup(exp, semigroup, op.coordinates(vector))
         exact = self._oracle(semigroup, 220.0, vector)
         assert np.linalg.norm(approx - exact) <= 1e-12
 

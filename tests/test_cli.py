@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import euscat
@@ -377,6 +378,36 @@ class TestTScan:
         for row in rows:
             assert float(row[5]) < 2e-2
         capsys.readouterr()
+
+
+class TestReferenceOutputs:
+    """The default ``t-scan`` and ``kb-sweep`` against the CSVs in
+    ``tests/data``, written by an earlier commit; a change that moves these
+    outputs on purpose rewrites those files.
+
+    Each (re, im) pair is one complex value z, held to |dz| <= 1e-10 |z|.
+    ``rel_err`` is itself a ratio to the exact value, so a 1e-10 relative move
+    of the approximation moves it by at most 1e-10 (1 + rel_err).  ``k`` and
+    ``n`` must match exactly.
+    """
+
+    @pytest.mark.parametrize("command", ["t-scan", "kb-sweep"])
+    def test_default_output_matches_the_reference(self, command, tmp_path, capsys):
+        name = command.replace("-", "_") + ".csv"
+        assert main([command, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        header, rows = read_csv(tmp_path / name)
+        ref_header, ref_rows = read_csv(Path(__file__).parent / "data" / name)
+        assert header == ref_header and len(rows) == len(ref_rows)
+        assert [h[:3] for h in header[1:5]] == ["re_", "im_", "re_", "im_"]
+        new, ref = np.array(rows, dtype=float), np.array(ref_rows, dtype=float)
+        assert np.array_equal(new[:, 0], ref[:, 0])
+        for re in (1, 3):
+            z_new = new[:, re] + 1j * new[:, re + 1]
+            z_ref = ref[:, re] + 1j * ref[:, re + 1]
+            assert np.all(np.abs(z_new - z_ref) <= 1e-10 * np.abs(z_ref))
+        assert header[5] == "rel_err"
+        assert np.all(np.abs(new[:, 5] - ref[:, 5]) <= 1e-10 * (1.0 + ref[:, 5]))
 
 
 GF_SMALL = "gf.gram_size=3\ngf.momenta_mev=0,300\ngf.cluster_points=5\n"

@@ -144,6 +144,42 @@ class TestDescriptors:
         with pytest.raises(DomainError, match=field):
             EuclideanTestFunction(**{**fields, field: value})
 
+    @pytest.mark.parametrize(
+        "derive, field",
+        [
+            (lambda f: f.scaled(math.nan), "amplitude"),
+            (lambda f: f.scaled(complex(0.0, math.inf)), "amplitude"),
+            (lambda f: f.scaled(1e308), "amplitude"),
+            (lambda f: f.shifted_in_time(math.nan), "tau_center"),
+            (lambda f: f.shifted_in_time(-math.inf), "tau_center"),
+            (lambda f: f.shifted_in_time(1.7e308).shifted_in_time(1.7e308), "tau_center"),
+        ],
+    )
+    def test_non_finite_derived_field_is_a_domain_error(self, derive, field):
+        f = EuclideanTestFunction(0.02, 0.002, 0.05, amplitude=1e10)
+        with pytest.raises(DomainError, match=field):
+            derive(f)
+
+    def test_derived_functions_equal_constructed_ones(self):
+        f = EuclideanTestFunction(
+            0.02, 0.002, 0.05, momentum=(30.0, -10.0, 5.0), center=(1.0, 2.0, 3.0),
+            amplitude=1 - 2j,
+        )
+        fields = dict(tau_width=0.002, space_width=0.05, center=(1.0, 2.0, 3.0))
+        for derived, built in (
+            (f.reflected(), EuclideanTestFunction(
+                -0.02, momentum=(30.0, -10.0, 5.0), amplitude=1 - 2j, **fields)),
+            (f.shifted_in_time(np.float64(0.5)), EuclideanTestFunction(
+                0.52, momentum=(30.0, -10.0, 5.0), amplitude=1 - 2j, **fields)),
+            (f.conjugated(), EuclideanTestFunction(
+                0.02, momentum=(-30.0, 10.0, -5.0), amplitude=1 + 2j, **fields)),
+            (f.scaled(np.complex128(2j)), EuclideanTestFunction(
+                0.02, momentum=(30.0, -10.0, 5.0), amplitude=4 + 2j, **fields)),
+        ):
+            assert derived == built
+            assert type(derived.amplitude) is complex
+            assert type(derived) is EuclideanTestFunction
+
     @pytest.mark.parametrize("field", ["momentum", "center"])
     def test_vector_fields_must_have_three_components(self, field):
         with pytest.raises(DomainError, match="3-vectors"):

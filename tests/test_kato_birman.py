@@ -7,16 +7,19 @@ the semigroup pipeline produces.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from euscat import spectral
-from euscat.chebyshev import converged_expansion
+from euscat.chebyshev import apply_to_semigroup, converged_expansion
 from euscat.config import RunConfig
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from euscat.kato_birman import (
     KBConfig,
+    _half_phase_overlap,
     _hamiltonian,
     beta_for,
     delta_e_overlap,
@@ -36,7 +39,7 @@ from euscat.model import (
     exact_s_on_shell,
     exact_t_on_shell,
 )
-from euscat.spectral import GridSpec, build_grid, diagonalize, discretize_h
+from euscat.spectral import GridSpec, build_grid, diagonalize, discretize_h, semigroup_bounds
 
 MODEL = default_model()
 FREE = SeparableModel(MODEL.mass, 0.0)
@@ -95,6 +98,21 @@ class TestWavePacket:
             make_packet(-5.0, 1.0, GRID_1GEV)
         with pytest.raises(DomainError):
             make_packet(1000.0, 0.0, GRID_1GEV)
+
+
+class _DenseSemigroup:
+    """Reference: e^{-beta H} as the dense U diag(e^{-beta E}) U^T acting on
+    grid coordinates."""
+
+    def __init__(self, op, beta):
+        self.op, self.beta = op, beta
+        self.matrix = (op.vectors * np.exp(-beta * op.eigenvalues)) @ op.vectors.T
+
+    def apply(self, v):
+        return self.matrix @ v
+
+    def bounds(self):
+        return semigroup_bounds(self.op, self.beta)
 
 
 class TestKBOverlap:
@@ -158,6 +176,47 @@ class TestKBOverlap:
             )
         _, hi = spectral.Semigroup(OP_1GEV, 5e-4).bounds()
         converged_expansion(2200, (0.0, hi), 5e-13)
+
+    @pytest.mark.parametrize("k", [300.0, 600.0, 1000.0, 1900.0])
+    def test_polynomial_layer_at_the_largest_n(self, k):
+        # n = 2200 is the largest n above the rounding floor; production grid
+        # of the t-scan (sigma = k/24, scale-aware beta), N = 1142-1190
+        cfg = KBConfig(n=2200, beta=None, sigma=k / 24.0)
+        grid = build_grid(packet_grid_spec(k, k / 24.0, cfg.n, beta_for(k)))
+        psi = make_packet(k, k / 24.0, grid)
+        op = _hamiltonian(MODEL, grid, None)
+        cheb = kb_s_overlap(MODEL, cfg, psi, psi, op=op)
+        exact = kb_s_overlap(MODEL, cfg, psi, psi, op=op, propagator="exact")
+        assert abs(cheb - exact) <= 1e-12
+
+    def test_eigenbasis_pass_matches_the_dense_semigroup(self):
+        # the same series through apply_to_semigroup with the dense
+        # U diag(e^{-beta E}) U^T acting on grid coordinates, at five of the
+        # default t-scan momenta
+        for k in np.geomspace(100.0, 2000.0, 20)[[0, 5, 10, 15, 19]]:
+            cfg = KBConfig(n=300, beta=None, sigma=k / 24.0)
+            beta = beta_for(k)
+            grid = build_grid(packet_grid_spec(k, k / 24.0, cfg.n, beta))
+            psi = make_packet(k, k / 24.0, grid)
+            op = _hamiltonian(MODEL, grid, None)
+            dense = _DenseSemigroup(op, beta)
+            expansion = converged_expansion(cfg.n, (0.0, dense.bounds()[1]), tol=5e-13)
+            u = np.exp(-1j * cfg.n * np.exp(-beta * grid.nodes**2 / MODEL.mass)) * psi.weighted()
+            half = apply_to_semigroup(expansion, dense, u)
+            kb = kb_s_overlap(MODEL, cfg, psi, psi, op=op)
+            assert abs(kb - half @ half) <= 1e-12
+
+    def test_half_phase_pass_forms_no_square_array(self):
+        op = _hamiltonian(MODEL, GRID_1GEV, None)
+        bra = make_packet(1040.0, 90.0, GRID_1GEV)
+        tracemalloc.start()
+        try:
+            sg = spectral.Semigroup(op, 5e-4)
+            _half_phase_overlap(sg, 250, MODEL.mass, bra, PACKET_1GEV)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * GRID_1GEV.size**2
 
     def test_rejects_mismatched_grids(self):
         other = build_grid(GridSpec(panels=[(0.0, 278.0, 16), (278.0, 6000.0, 48)]))
@@ -370,6 +429,17 @@ class TestExtraction:
         spread = max(abs(a - b) for a in values for b in values)
         assert spread <= 0.005 * abs(values[1])
 
+    def test_oversized_grid_is_refused_before_it_is_built(self, monkeypatch):
+        # n = 10^5 asks for panels of about 50,000 nodes
+        def refuse(count):
+            raise AssertionError("roots_legendre ran")
+
+        monkeypatch.setattr(spectral, "roots_legendre", refuse)
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="GB"):
+            extract_sharp_t(MODEL, KBConfig(n=100_000, beta=None, sigma=1000.0 / 24.0), 1000.0)
+        assert time.perf_counter() - start < 0.5
+
     def test_rejects_bad_momentum(self):
         with pytest.raises(DomainError):
             extract_sharp_t(MODEL, KBConfig(), -100.0)
@@ -513,3 +583,8 @@ class TestGridConvergence:
             mass=mass,
         )
         assert _size(sweep) <= 280
+
+    @pytest.mark.parametrize("k", [100.0, 1000.0])
+    def test_n_ten_thousand_layouts_fit_the_grid_limit(self, k):
+        spec = packet_grid_spec(k, k / 24.0, 10_000, beta_for(k))
+        assert 5000 <= _size(spec) <= spectral._MAX_GRID_POINTS

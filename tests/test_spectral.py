@@ -85,6 +85,16 @@ class TestGrid:
         assert build_grid(GridSpec(panels=[(0.0, 10.0, 8.0)])).size == 8
 
 
+    def test_oversized_grid_is_refused_before_any_node(self, monkeypatch):
+        def refuse(count):
+            raise AssertionError("roots_legendre ran")
+
+        monkeypatch.setattr(spectral, "roots_legendre", refuse)
+        limit = spectral._MAX_GRID_POINTS
+        with pytest.raises(AccuracyError, match=f"N = {limit + 1} .* GB.* N = {limit} "):
+            build_grid(GridSpec(panels=[(0.0, 1.0, limit // 2), (1.0, 2.0, limit // 2 + 1)]))
+
+
 class TestDiscretizeAndDiagonalize:
     def test_zero_coupling_is_diagonal_kinetic(self):
         free = SeparableModel(MODEL.mass, 0.0)
@@ -215,8 +225,9 @@ class TestRankOneSolver:
         op = spectral._rank_one_operator(d, v, MODEL.coupling)
         scale = np.linalg.norm(discretize_h(MODEL, GRID))
         assert np.max(np.abs(op.eigenvalues - OP.eigenvalues)) <= 1e-14 * scale
-        dense = Semigroup(op=OP, beta=5e-4).matrix
-        assert np.linalg.norm(Semigroup(op=op, beta=5e-4).matrix - dense) <= 1e-13
+        # e^{-beta H} as a dense matrix from each decomposition
+        dense = semigroup_apply(OP, 5e-4, np.eye(GRID.size))
+        assert np.linalg.norm(semigroup_apply(op, 5e-4, np.eye(GRID.size)) - dense) <= 1e-13
 
     def test_zero_coupling_is_the_kinetic_diagonal(self):
         d = np.array([0.5, 1.0, 4.0])
@@ -404,14 +415,15 @@ class TestSemigroup:
 
 
 class TestDenseSemigroup:
-    """Semigroup.apply, one product with the dense e^{-beta H} formed at
-    construction, against the eigenbasis oracle semigroup_apply."""
+    """Semigroup.apply, the elementwise product with e^{-beta E} on
+    eigen-coordinates c = U^T u, against the grid-coordinate oracle
+    semigroup_apply conjugated by U: U^T e^{-beta H} U c."""
 
     BETA = 4e-4
 
-    def _assert_matches_oracle(self, v):
-        out = Semigroup(op=OP, beta=self.BETA).apply(v)
-        oracle = semigroup_apply(OP, self.BETA, v)
+    def _assert_matches_oracle(self, c):
+        out = Semigroup(op=OP, beta=self.BETA).apply(c)
+        oracle = OP.coordinates(semigroup_apply(OP, self.BETA, OP.vectors @ c))
         assert out.shape == oracle.shape
         assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
         return out
@@ -421,8 +433,8 @@ class TestDenseSemigroup:
         assert out.dtype == np.float64
 
     def test_complex_vector(self):
-        v = RNG.standard_normal(GRID.size) + 1j * RNG.standard_normal(GRID.size)
-        assert self._assert_matches_oracle(v).dtype == np.complex128
+        c = RNG.standard_normal(GRID.size) + 1j * RNG.standard_normal(GRID.size)
+        assert self._assert_matches_oracle(c).dtype == np.complex128
 
     def test_complex_block(self):
         block = RNG.standard_normal((GRID.size, 5)) + 1j * RNG.standard_normal(
@@ -437,20 +449,16 @@ class TestDenseSemigroup:
         assert not block[:, 1].flags.c_contiguous
         self._assert_matches_oracle(block[:, 1])
 
-    def test_cached_matrix_is_read_only(self, monkeypatch):
+    def test_cached_images_are_read_only(self):
         sg = Semigroup(op=OP, beta=self.BETA)
         with pytest.raises(ValueError):
-            sg.matrix[0, 0] = 1.0
-        used = []
-        original = spectral._real_product
-
-        def recording(matrix, v):
-            used.append(matrix)
-            return original(matrix, v)
-
-        monkeypatch.setattr(spectral, "_real_product", recording)
-        sg.apply(np.ones(GRID.size))
-        assert len(used) == 1 and used[0] is sg.matrix
+            sg.images[0] = 1.0
+        assert np.array_equal(sg.images, np.exp(-self.BETA * OP.eigenvalues))
+        assert np.array_equal(sg.apply(np.ones(GRID.size)), sg.images)
+        # the Clenshaw step works in place on what apply returns
+        for c in (np.ones(GRID.size), np.ones((GRID.size, 2), dtype=complex)):
+            out = sg.apply(c)
+            assert not np.shares_memory(out, c) and not np.shares_memory(out, sg.images)
 
     def test_complex_application_makes_no_square_temporary(self):
         grid = build_grid(GridSpec(panels=[(0.0, 278.0, 122), (278.0, 6000.0, 368)]))
