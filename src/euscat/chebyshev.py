@@ -13,14 +13,15 @@ phase osc*x itself, eps * max(1, |osc| * max(|a|, |b|)), is accepted.
 Applying the expansion to e^{-beta H} uses the Clenshaw recurrence with the
 affinely rescaled operator as the argument; each recurrence step costs exactly
 one semigroup application and nothing else, which is the point: oscillatory
-functions of H are reached through contractive operations only.
+functions of H are reached through contractive operations only.  Series on
+one domain can share one recurrence, one series per column of a block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +50,23 @@ class ChebyshevExpansion:
 
     def __post_init__(self) -> None:
         self.coefficients.setflags(write=False)
+
+
+class _SeriesBlock(NamedTuple):
+    """Expansions on one domain side by side: column m of ``coefficients``
+    holds the m-th series, zero-padded to the largest degree."""
+
+    degree: int
+    coefficients: np.ndarray
+    domain: Tuple[float, float]
+
+
+def _stacked(expansions: Sequence[ChebyshevExpansion]) -> _SeriesBlock:
+    degree = max(exp.degree for exp in expansions)
+    coefficients = np.zeros((degree + 1, len(expansions)), dtype=complex)
+    for m, exp in enumerate(expansions):
+        coefficients[: exp.degree + 1, m] = exp.coefficients
+    return _SeriesBlock(degree, coefficients, expansions[0].domain)
 
 
 @dataclass(frozen=True)
@@ -119,7 +137,10 @@ def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) ->
     Clenshaw recurrence in operator form: degree + 1 applications of the
     semigroup, never an explicit function of the matrix.  v is in the
     coordinates ``sg.apply`` takes: eigen-coordinates for a ``Semigroup``.
-    The semigroup spectrum must lie inside the expansion domain.
+    The semigroup spectrum must lie inside the expansion domain.  A block of
+    series (``_stacked``) has one coefficient per column of an N x m block
+    v in each row, so column m gets series m; zero orders above a series'
+    degree leave its column as its own pass would, bit for bit.
     """
     a, b = exp.domain
     lo, hi = sg.bounds()

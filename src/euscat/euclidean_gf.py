@@ -170,7 +170,15 @@ class WaveFunctional:
 
 
 class FDResult(NamedTuple):
-    """A finite-difference derivative with its Richardson error estimate."""
+    """A finite-difference derivative and an error estimate.
+
+    ``value`` is the Richardson combination (4 fine - coarse)/3 of the
+    central differences with steps h and h/2.  ``error`` is
+    |fine - coarse|/3, the error estimate of the h/2 stencil ``fine``, not
+    of ``value``, which is two orders in h more accurate; so it is loose.
+    On the five dispersion probes of the default ``gf-report`` it reads 1e-4
+    to 3.5e-3 of m^2, where their M^2 misses m^2 by 1.7e-8 to 1.4e-5.
+    """
 
     value: Union[complex, np.ndarray]
     error: float

@@ -19,12 +19,18 @@ psi and u' = e^{-in exp(-beta H0)} conj(psi'),
     <psi'| ... |psi> = u'^T e^{2inA} u = sum_i [e^{inA} u']_i [e^{inA} u]_i.
 
 One Chebyshev series p of e^{inx}, of half the degree of one for e^{2inx},
-acts on the block [u, u'] (on u alone when u' = u, as for identical real
-packets), in its eigen-coordinates U^T [u, u']: there A is diagonal, so each
-semigroup application is an elementwise product with e^{-beta E}, and as U is
-orthogonal the sum above is the same in either coordinates.  The same
-identity holds for p, and a per-factor uniform error of 5e-13 bounds the
-overlap's by sup|p^2 - e^{2inx}| <= tol (2 + tol) < 1e-12.
+stands in for e^{inA}.  In eigen-coordinates c = U^T u, c' = U^T u', A is
+the diagonal lambda_i = e^{-beta E_i}, so p(A) is the elementwise product
+with p(lambda_i), and as U is orthogonal
+
+    u'^T p(A)^2 u = sum_i c'_i c_i p(lambda_i)^2
+
+(c alone when u' = u, as for identical real packets).  Clenshaw on a block of
+ones gives the values p(lambda_i), each semigroup application being an
+elementwise product with e^{-beta E}; the series of every n of a sweep share
+that one pass, one column each, so a sweep costs the degree + 1 applications
+of its largest n.  A per-factor uniform error of 5e-13 bounds the overlap's
+by sup|p^2 - e^{2inx}| <= tol (2 + tol) < 1e-12.
 
 Conventions: S(k) = 1 - i pi m k t(k), energy density rho(E) = m k / 2.
 The sharp amplitude comes from the quotient
@@ -43,7 +49,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import apply_to_semigroup, converged_expansion
+from .chebyshev import _stacked, apply_to_semigroup, converged_expansion
 from .errors import ConfigError, DomainError, PreconditionError
 from .model import (
     DEFAULT_MASS,
@@ -288,18 +294,25 @@ def _phased_coordinates(
     return op.coordinates(np.column_stack(block))
 
 
-def _half_phase_overlap(
-    sg: Semigroup, n: int, mass: float, psi_prime: WavePacket, psi: WavePacket
-) -> complex:
-    """u'^T e^{2inA} u by the half-phase identity of the module docstring:
-    one series for e^{inA} acts on the eigen-coordinates of the block [u], or
-    [u, u'] when u' != u."""
+def _half_phase_overlaps(
+    sg: Semigroup, ns: Sequence[int], mass: float, psi_prime: WavePacket, psi: WavePacket
+) -> List[complex]:
+    """u'^T e^{2inA} u for each n of ``ns`` by the half-phase identity of the
+    module docstring.  Every series is built before the one Clenshaw pass,
+    so a rounding-floor ``AccuracyError`` comes before any application; each
+    n then has its own coordinates and reduction, so its overlap does not
+    depend on the other n."""
     _, hi = sg.bounds()
-    expansion = converged_expansion(n, (0.0, hi), tol=_HALF_PHASE_TOL)
-    free_phase = np.exp(-1j * n * np.exp(-sg.beta * psi.grid.nodes**2 / mass))
-    coords = _phased_coordinates(sg.op, free_phase, psi_prime, psi)
-    halves = apply_to_semigroup(expansion, sg, coords)
-    return complex(halves[:, -1] @ halves[:, 0])
+    series = _stacked([converged_expansion(n, (0.0, hi), tol=_HALF_PHASE_TOL) for n in ns])
+    # one contiguous row per n, laid out as a one-n pass lays out its values
+    values = apply_to_semigroup(series, sg, np.ones((sg.op.size, len(ns)))).T.copy()
+    free_images = np.exp(-sg.beta * psi.grid.nodes**2 / mass)
+    overlaps = []
+    for n, value in zip(ns, values):
+        coords = _phased_coordinates(sg.op, np.exp(-1j * n * free_images), psi_prime, psi)
+        halves = value[:, None] * coords
+        overlaps.append(complex(halves[:, -1] @ halves[:, 0]))
+    return overlaps
 
 
 def kb_s_overlap(
@@ -324,7 +337,7 @@ def kb_s_overlap(
     operator = _hamiltonian(model, grid, op)
     if propagator == "chebyshev":
         sg = Semigroup(operator, beta)
-        return _half_phase_overlap(sg, cfg.n, model.mass, psi_prime, psi)
+        return _half_phase_overlaps(sg, [cfg.n], model.mass, psi_prime, psi)[0]
     if propagator == "exact":
         # the overflow check of the Semigroup, which this path does not build
         semigroup_bounds(operator, beta)
@@ -404,7 +417,9 @@ def sweep_n(
     S at the ket packet's center momentum (adds the packet-width bias, which
     is what shrinks when sigma does).  Every n must be an integer >= 1.
     Beta does not depend on n, so one eigendecomposition and one ``Semigroup``
-    serve the sweep.
+    serve the sweep, and the half-phase series of every n run as the columns
+    of one Clenshaw pass: degree + 1 applications of the largest n's series
+    in all.  Each row equals ``kb_s_overlap`` at its n bit for bit.
     """
     if len(n_values) == 0:
         raise ConfigError("n_values must not be empty")
@@ -420,20 +435,18 @@ def sweep_n(
     else:
         raise ValueError(f"unknown reference {reference!r}")
     sg = Semigroup(operator, _resolve_beta(model, cfg, psi.center))
-    rows = []
-    for n in ns:
-        kb = _half_phase_overlap(sg, n, model.mass, psi_prime, psi)
-        rows.append(
-            SweepRow(
-                n=n,
-                re_approx=kb.real,
-                im_approx=kb.imag,
-                re_exact=exact.real,
-                im_exact=exact.imag,
-                rel_err=abs(kb - exact) / abs(exact),
-            )
+    overlaps = _half_phase_overlaps(sg, ns, model.mass, psi_prime, psi)
+    return [
+        SweepRow(
+            n=n,
+            re_approx=kb.real,
+            im_approx=kb.imag,
+            re_exact=exact.real,
+            im_exact=exact.imag,
+            rel_err=abs(kb - exact) / abs(exact),
         )
-    return rows
+        for n, kb in zip(ns, overlaps)
+    ]
 
 
 def extract_sharp_t(model: SeparableModel, cfg: KBConfig, k: float) -> SMatrixEstimate:

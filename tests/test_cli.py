@@ -304,6 +304,13 @@ class TestKbSweep:
         assert len({(r[3], r[4]) for r in rows}) == 1
         capsys.readouterr()
 
+    def test_default_sweep_is_one_pass_of_200_applications(self, tmp_path, apply_widths, capsys):
+        # n = 10..300 in steps of 10: every n shares the pass of n = 300
+        assert main(["kb-sweep", "--out", str(tmp_path)]) == 0
+        assert len(apply_widths) == 200
+        assert set(apply_widths) == {30}
+        capsys.readouterr()
+
     def test_zero_coupling_error_is_noise(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

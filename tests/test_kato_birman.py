@@ -19,7 +19,7 @@ from euscat.config import RunConfig
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from euscat.kato_birman import (
     KBConfig,
-    _half_phase_overlap,
+    _half_phase_overlaps,
     _hamiltonian,
     beta_for,
     delta_e_overlap,
@@ -165,7 +165,7 @@ class TestKBOverlap:
         _, hi = spectral.Semigroup(OP_1GEV, 5e-4).bounds()
         assert len(calls) == converged_expansion(n, (0.0, hi), 5e-13).degree + 1
         assert len(calls) <= 0.6 * converged_expansion(2 * n, (0.0, hi), 1e-12).degree
-        assert set(calls) == {2 if primed else 1}
+        assert set(calls) == {1}
 
     def test_rounding_floor_boundary(self):
         # eps n hi <= 5e-13 per half-phase factor, as eps 2n hi <= 1e-12 was
@@ -212,7 +212,7 @@ class TestKBOverlap:
         tracemalloc.start()
         try:
             sg = spectral.Semigroup(op, 5e-4)
-            _half_phase_overlap(sg, 250, MODEL.mass, bra, PACKET_1GEV)
+            _half_phase_overlaps(sg, [250], MODEL.mass, bra, PACKET_1GEV)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -326,6 +326,33 @@ class TestSweep:
         for n, row in zip(ns, rows):
             kb = kb_s_overlap(MODEL, KBConfig(n=n, beta=5e-4), bra, PACKET_1GEV, op=OP_1GEV)
             assert (row.n, row.re_approx, row.im_approx) == (n, kb.real, kb.imag)
+
+    def test_one_clenshaw_pass_serves_every_n(self, apply_widths):
+        bra = make_packet(1040.0, 90.0, GRID_1GEV)
+        sweep_n(MODEL, KBConfig(beta=5e-4), [10, 50, 300], bra, PACKET_1GEV)
+        _, hi = spectral.Semigroup(OP_1GEV, 5e-4).bounds()
+        assert len(apply_widths) == converged_expansion(300, (0.0, hi), 5e-13).degree + 1
+        assert set(apply_widths) == {3}
+
+    def test_floor_error_comes_before_any_application(self, apply_widths):
+        with pytest.raises(AccuracyError, match="rounding floor"):
+            sweep_n(MODEL, KBConfig(beta=5e-4), [10, 2300], PACKET_1GEV, PACKET_1GEV)
+        assert apply_widths == []
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_rows_match_the_exact_propagator_up_to_the_floor(self, primed):
+        # the t-scan's production grid at k = 1000 MeV and n = 2200, the
+        # largest n above the rounding floor (N about 1150)
+        k, sigma = 1000.0, 1000.0 / 24.0
+        grid = build_grid(packet_grid_spec(k, sigma, 2200, beta_for(k)))
+        psi = make_packet(k, sigma, grid)
+        bra = make_packet(1.04 * k, 0.9 * sigma, grid) if primed else psi
+        op = _hamiltonian(MODEL, grid, None)
+        rows = sweep_n(MODEL, KBConfig(beta=None), [1, 2200], bra, psi)
+        for row in rows:
+            cfg = KBConfig(n=row.n, beta=None)
+            exact = kb_s_overlap(MODEL, cfg, bra, psi, op=op, propagator="exact")
+            assert abs(complex(row.re_approx, row.im_approx) - exact) <= 1e-12
 
     def test_input_validation(self):
         for n_values, match in (
