@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import erfcx
 
 from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from .spectral import _LOG_FLOAT_MAX, _panel_nodes
@@ -194,7 +193,7 @@ class ClusterReport:
 # The radial grid starts from _BASE_POINTS per peak panel; every panel is
 # doubled until two successive resolutions agree to _TOL relative, for at
 # most _MAX_REFINEMENTS doublings.  No panel takes more than _MAX_PANEL_NODES
-# nodes: roots_legendre grows faster than linearly in the order.
+# nodes: a Gauss-Legendre rule costs the square of its order.
 _BASE_POINTS = 80
 _TOL = 1e-10
 _MAX_REFINEMENTS = 7
@@ -281,6 +280,10 @@ class CovarianceKernel:
         z- < 0: erfcx(z-) = 2 e^{z-^2} - erfcx(|z-|) there, and E < 0.  The
         clamp of E at 0 elsewhere only keeps an unused exponential finite.
         """
+        # only the covariance needs scipy.special, whose import takes about
+        # 0.25 s of every process start
+        from scipy.special import erfcx
+
         root = np.sqrt(2.0 * s2)
         z_minus = (omega * s2 - gap) / root
         below = z_minus < 0.0

@@ -350,7 +350,7 @@ class TestGeneratingFunctional:
 
     def test_panel_above_the_node_cap_raises_before_any_pass(self):
         # the base panels of this pair hold over 36000 and 54000 nodes; a
-        # check made only before doublings spent minutes in roots_legendre
+        # check made only before doublings spent minutes on Legendre rules
         f, g = cluster_probe_pair(KERNEL)
         start = time.perf_counter()
         with pytest.raises(AccuracyError, match=r"needs \d+ nodes on one panel"):

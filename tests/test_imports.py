@@ -13,10 +13,13 @@ Every function the benchmark traces (``LAYERS`` in ``bench/spans.py``, read
 with ``ast`` so the bench is not imported) exists in the package; the tracer
 only warns about a missing one, and its layer metrics would read 0.
 
-``import euscat`` leaves out ``scipy.integrate``, which only the quadrature
-reference of ``euscat.model`` imports when it runs, and the
-``scipy.optimize`` and ``scipy.sparse.linalg`` that it loads: each is
-start-up time of every process.
+``import euscat``, ``import euscat.cli`` and a scattering point load none of
+``scipy.special``, ``scipy.linalg``, ``scipy.integrate`` and the
+``scipy.optimize`` and ``scipy.sparse.linalg`` that ``scipy.integrate``
+loads: each is start-up time of every process.  Only the covariance of
+``euclidean_gf`` imports ``scipy.special``, and only the quadrature reference
+of ``euscat.model`` imports ``scipy.integrate``, each when it runs; a
+covariance computed after the check shows that the first still works.
 """
 
 import ast
@@ -129,8 +132,19 @@ def test_every_traced_layer_exists():
 
 
 def test_import_loads_no_unused_scipy_subpackage():
-    # a fresh interpreter, handed the directory that holds the package under test
-    probe = "import sys, euscat; print(' '.join(sorted(sys.modules)))"
+    # a fresh interpreter, handed the directory that holds the package under
+    # test; it prints the loaded modules after a scattering point, then the
+    # value of one covariance
+    probe = "\n".join(
+        [
+            "import sys, euscat, euscat.cli",
+            "config = euscat.KBConfig(n=30, beta=None, sigma=700.0 / 24.0)",
+            "euscat.extract_sharp_t(euscat.default_model(), config, 700.0)",
+            "print(' '.join(sorted(sys.modules)))",
+            "f = euscat.standard_test_function()",
+            "print(euscat.covariance(euscat.CovarianceKernel(139.57), f, f))",
+        ]
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -138,7 +152,15 @@ def test_import_loads_no_unused_scipy_subpackage():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         check=True,
     )
-    loaded = set(result.stdout.split())
-    assert "euscat" in loaded
-    heavy = {"scipy.integrate", "scipy.optimize", "scipy.sparse.linalg"}
+    modules, value = result.stdout.splitlines()
+    loaded = set(modules.split())
+    assert {"euscat", "euscat.cli"} <= loaded
+    heavy = {
+        "scipy.integrate",
+        "scipy.linalg",
+        "scipy.optimize",
+        "scipy.sparse.linalg",
+        "scipy.special",
+    }
     assert sorted(heavy & loaded) == []
+    assert float(value) > 0.0

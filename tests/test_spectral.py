@@ -31,6 +31,27 @@ SMALL_OP = diagonalize(discretize_h(MODEL, SMALL_GRID))
 RNG = np.random.default_rng(42)
 SMALL_VEC = RNG.standard_normal(SMALL_GRID.size)
 
+# Gauss-Legendre anchors on [-1, 1], (index, node, weight), from 40-digit
+# mpmath Newton iteration on P_n: the middle, next-to-end and end nodes
+LEGENDRE_ANCHORS = {
+    1: [(0, 0.0, 2.0)],
+    2: [(0, -0.5773502691896257645091488, 1.0), (1, 0.5773502691896257645091488, 1.0)],
+    3: [
+        (1, 0.0, 0.8888888888888888888888889),
+        (2, 0.7745966692414833770358531, 0.5555555555555555555555556),
+    ],
+    40: [
+        (20, 0.03877241750605082193319344, 0.07750594797842481126372396),
+        (38, 0.9907262386994570064530544, 0.01049828453115281361474217),
+        (39, 0.9982377097105592003496227, 0.004521277098533191258471733),
+    ],
+    160: [
+        (80, 0.009786689277549032274815068, 0.01957275361701003503129433),
+        (158, 0.9994086206413058018869975, 0.0006704383201523032814753063),
+        (159, 0.9998877522721632388586307, 0.0002880585285210830446544994),
+    ],
+}
+
 
 class TestGrid:
     def test_gaussian_integral_sanity(self):
@@ -87,12 +108,47 @@ class TestGrid:
 
     def test_oversized_grid_is_refused_before_any_node(self, monkeypatch):
         def refuse(count):
-            raise AssertionError("roots_legendre ran")
+            raise AssertionError("a Gauss-Legendre rule was computed")
 
-        monkeypatch.setattr(spectral, "roots_legendre", refuse)
+        monkeypatch.setattr(spectral, "_legendre_roots", refuse)
         limit = spectral._MAX_GRID_POINTS
         with pytest.raises(AccuracyError, match=f"N = {limit + 1} .* GB.* N = {limit} "):
             build_grid(GridSpec(panels=[(0.0, 1.0, limit // 2), (1.0, 2.0, limit // 2 + 1)]))
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("count", sorted(LEGENDRE_ANCHORS))
+    def test_matches_forty_digit_anchors(self, count):
+        x, w = spectral._legendre_roots(count)
+        for index, node, weight in LEGENDRE_ANCHORS[count]:
+            assert abs(x[index] - node) <= 2.3e-16
+            # the end weight carries the end node's rounding times ~n^2
+            tol = 1e-12 if index == count - 1 else 1e-13
+            assert abs(w[index] - weight) <= tol * weight
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 40, 41, 160])
+    def test_integrates_even_powers_exactly(self, count):
+        x, w = spectral._legendre_roots(count)
+        for power in range(0, 2 * count, 2):
+            assert np.sum(w * x**power) == pytest.approx(2.0 / (power + 1), rel=1e-13)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 40, 41, 160, 161, 1000])
+    def test_rule_is_ordered_symmetric_and_read_only(self, count):
+        x, w = spectral._legendre_roots(count)
+        assert x.shape == w.shape == (count,)
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert np.all(w > 0)
+        assert abs(np.sum(w) - 2.0) <= 4 * np.finfo(float).eps
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_NEWTON_STEPS", 0)
+        with pytest.raises(AccuracyError, match="order 40 did not converge"):
+            spectral._legendre_roots.__wrapped__(40)
 
 
 class TestDiscretizeAndDiagonalize:
