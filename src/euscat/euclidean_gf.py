@@ -176,7 +176,7 @@ class FDResult(NamedTuple):
     |fine - coarse|/3, the error estimate of the h/2 stencil ``fine``, not
     of ``value``, which is two orders in h more accurate; so it is loose.
     On the five dispersion probes of the default ``gf-report`` it reads 1e-4
-    to 3.5e-3 of m^2, where their M^2 misses m^2 by 1.7e-8 to 1.4e-5.
+    to 3.5e-3 of m^2, where their M^2 misses m^2 by 1.7e-8 to 5.1e-8.
     """
 
     value: Union[complex, np.ndarray]
@@ -192,9 +192,12 @@ class ClusterReport:
 
 # The radial grid starts from _BASE_POINTS per peak panel; every panel is
 # doubled until two successive resolutions agree to _TOL relative, for at
-# most _MAX_REFINEMENTS doublings.  No panel takes more than _MAX_PANEL_NODES
-# nodes: a Gauss-Legendre rule costs the square of its order.
-_BASE_POINTS = 80
+# most _MAX_REFINEMENTS doublings.  With the integrand's exponent formed
+# without cancellation, 40 base points already agree with 80 on nearly every
+# pair, and the dispersion probes' M^2 moves by under 1e-10 from 40 to 640
+# base points.  No panel takes more than _MAX_PANEL_NODES nodes: a
+# Gauss-Legendre rule costs the square of its order.
+_BASE_POINTS = 40
 _TOL = 1e-10
 _MAX_REFINEMENTS = 7
 _MAX_PANEL_NODES = 30000
@@ -208,8 +211,9 @@ class _Pairs(NamedTuple):
     when the peak is too close to 0 for a panel below it).  ``kappa`` is the
     prefactor of the radial integral, including the angular 4 pi and the
     time factor's pi st_f st_g; S, w_tilde and const are the coefficients of
-    its integrand, s2 = st_f^2 + st_g^2 and gap = |t_f - t_g| the arguments
-    of the time factor.
+    its integrand's exponent const - (S/2)(p - w_r/S)^2 + i p w_i, and
+    s2 = st_f^2 + st_g^2 and gap = |t_f - t_g| the arguments of the time
+    factor.
     """
 
     kappa: np.ndarray
@@ -252,7 +256,15 @@ def _pairs(bras, kets) -> _Pairs:
     counts[:, 0] = np.where(lo > 0.0, counts[:, 0], 0.0)
     v = vr + 1j * vi
     w_tilde = np.sqrt(np.sum(v * v, axis=1))
-    const = -0.5 * (sxb**2 * np.sum(pb * pb, axis=1) + sxk**2 * np.sum(pk * pk, axis=1))
+    # the constant of the completed square, -(a |p_b|^2 + b |p_k|^2)/2 +
+    # w_r^2/(2S) with a = sx_b^2 and b = sx_k^2, with its large terms
+    # cancelled in closed form; it is <= 0, as w_i^2 <= |v_i|^2
+    dp = pb - pk
+    const = (
+        w_tilde.imag**2
+        - sxb**2 * sxk**2 * np.sum(dp * dp, axis=1)
+        - np.sum(vi * vi, axis=1)
+    ) / (2.0 * S)
     phase = np.sum(pk * ck, axis=1) - np.sum(pb * cb, axis=1)
     kappa = np.conj(ab) * ak * (sxb * sxk) ** 3 * np.exp(1j * phase)
     kappa *= 4.0 * math.pi**2 * stb * stk
@@ -317,16 +329,27 @@ class CovarianceKernel:
 
         omega = np.sqrt(p * p + self.mass * self.mass)
         time = self._time_factor(omega, per_node(pairs.s2), per_node(pairs.gap))
-        radial = wp * p * p / (2.0 * omega) * time
-        pw = p * per_node(pairs.w_tilde)
-        gauss = per_node(pairs.const) - 0.5 * per_node(pairs.S) * p * p
-        # e^gauss sinh(pw)/pw = e^{gauss+pw} (1 - e^{-2pw})/(2pw), Re pw >= 0;
-        # adding the mask of pw = 0 (w_tilde = 0) to both sides gives its limit 1
-        zero = pw == 0.0
-        env = np.exp(gauss + pw) * (zero - np.expm1(-2.0 * pw)) / (2.0 * pw + zero)
-        vals = radial * env
+        radial = wp * p / (4.0 * omega) * time
+        # 2p w e^gauss sinh(pw)/(pw) = g (-e cos(phi) + i (2 + e) sin(phi)) for
+        # gauss + pw = const - (S/2)(p - w_r/S)^2 + i phi, with g = e^{Re},
+        # e = e^{-2p w_r} - 1 and phi = p w_i: no term cancels, as w_r >= 0
+        w = pairs.w_tilde
+        g = np.exp(
+            per_node(pairs.const)
+            - 0.5 * per_node(pairs.S) * (p - per_node(w.real / pairs.S)) ** 2
+        )
+        g *= radial
+        e = np.expm1(-2.0 * p * per_node(w.real))
+        phi = p * per_node(w.imag)
+        re = -g * e * np.cos(phi)
+        im = g * (2.0 + e) * np.sin(phi)
+        # re and im vanish where w = 0; the limit 1 of sinh(pw)/(pw) there
+        zero = w == 0.0
+        re += 2.0 * p * g * per_node(zero)
         starts = np.cumsum(sizes) - sizes
-        return np.add.reduceat(vals, starts), np.add.reduceat(np.abs(vals), starts)
+        scale = np.where(zero, 1.0, w)
+        integral = (np.add.reduceat(re, starts) + 1j * np.add.reduceat(im, starts)) / scale
+        return integral, np.add.reduceat(np.hypot(re, im), starts) / np.abs(scale)
 
     def _sesqui(
         self,

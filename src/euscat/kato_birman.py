@@ -50,7 +50,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chebyshev import _stacked, apply_to_semigroup, converged_expansion
-from .errors import ConfigError, DomainError, PreconditionError
+from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from .model import (
     DEFAULT_MASS,
     SeparableModel,
@@ -280,6 +280,9 @@ def _hamiltonian(
 
 # uniform error of each half-phase factor; tol (2 + tol) < 1e-12 for the square
 _HALF_PHASE_TOL = 5e-13
+# largest eigenpair residual, weighted by a packet, as a fraction of the
+# packet's energy spread; on the default t-scan it is at most 2e-15
+_PACKET_RESOLUTION_TOL = 1e-3
 
 
 def _phased_coordinates(
@@ -294,23 +297,56 @@ def _phased_coordinates(
     return op.coordinates(np.column_stack(block))
 
 
+def _packet_resolution(
+    op: SpectralOperator, coords: np.ndarray, psi_prime: WavePacket, psi: WavePacket
+) -> float:
+    """The eigenpair residuals of ``op`` averaged with the weights |c_a|^2
+    of each column of ``coords`` (as from ``_phased_coordinates``), over the
+    energy spread 2 k sigma / m of its packet; the larger of the columns.
+    Above 1 the eigenpairs cannot tell the packet's energies apart, whatever
+    their residual relative to ||H||.
+    """
+    weights = np.abs(coords) ** 2
+    averages = (op.residuals @ weights) / np.sum(weights, axis=0)
+    spreads = [2.0 * p.center * p.width / p.mass for p in (psi, psi_prime)]
+    return float(np.max(averages / spreads[: averages.size]))
+
+
+def _require_resolved(
+    op: SpectralOperator, coords: np.ndarray, psi_prime: WavePacket, psi: WavePacket
+) -> None:
+    ratio = _packet_resolution(op, coords, psi_prime, psi)
+    if not ratio <= _PACKET_RESOLUTION_TOL:
+        raise AccuracyError(
+            f"eigenpair residuals weighted by the packet at k={psi.center:g} MeV "
+            f"reach {ratio:.3e} of its energy spread, above "
+            f"{_PACKET_RESOLUTION_TOL:g}: the eigendecomposition cannot resolve it"
+        )
+
+
 def _half_phase_overlaps(
     sg: Semigroup, ns: Sequence[int], mass: float, psi_prime: WavePacket, psi: WavePacket
 ) -> List[complex]:
     """u'^T e^{2inA} u for each n of ``ns`` by the half-phase identity of the
-    module docstring.  Every series is built before the one Clenshaw pass,
-    so a rounding-floor ``AccuracyError`` comes before any application; each
-    n then has its own coordinates and reduction, so its overlap does not
-    depend on the other n."""
+    module docstring.  Every series and every n's coordinates are built
+    before the one Clenshaw pass, so a rounding-floor or unresolved-packet
+    ``AccuracyError`` comes before any application; each n has its own
+    coordinates and reduction, so its overlap does not depend on the other
+    n."""
     _, hi = sg.bounds()
     series = _stacked([converged_expansion(n, (0.0, hi), tol=_HALF_PHASE_TOL) for n in ns])
+    free_images = np.exp(-sg.beta * psi.grid.nodes**2 / mass)
+    coords = [
+        _phased_coordinates(sg.op, np.exp(-1j * n * free_images), psi_prime, psi)
+        for n in ns
+    ]
+    for block in coords:
+        _require_resolved(sg.op, block, psi_prime, psi)
     # one contiguous row per n, laid out as a one-n pass lays out its values
     values = apply_to_semigroup(series, sg, np.ones((sg.op.size, len(ns)))).T.copy()
-    free_images = np.exp(-sg.beta * psi.grid.nodes**2 / mass)
     overlaps = []
-    for n, value in zip(ns, values):
-        coords = _phased_coordinates(sg.op, np.exp(-1j * n * free_images), psi_prime, psi)
-        halves = value[:, None] * coords
+    for value, block in zip(values, coords):
+        halves = value[:, None] * block
         overlaps.append(complex(halves[:, -1] @ halves[:, 0]))
     return overlaps
 
@@ -343,6 +379,7 @@ def kb_s_overlap(
         semigroup_bounds(operator, beta)
         free_phase = np.exp(-1j * cfg.n * np.exp(-beta * grid.nodes**2 / model.mass))
         coords = _phased_coordinates(operator, free_phase, psi_prime, psi)
+        _require_resolved(operator, coords, psi_prime, psi)
         images = np.exp(2j * cfg.n * np.exp(-beta * operator.eigenvalues))
         return complex(coords[:, -1] @ (images * coords[:, 0]))
     raise ValueError(f"unknown propagator {propagator!r}")

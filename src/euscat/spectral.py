@@ -93,14 +93,20 @@ def _real_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Eigendecomposition H = U diag(eigenvalues) U^T."""
+    """Eigendecomposition H = U diag(eigenvalues) U^T.
+
+    ``residuals`` holds ||H u_a - E_a u_a|| of each eigenpair, or a bound on
+    it, in the units of the eigenvalues.
+    """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    residuals: np.ndarray
 
     def __post_init__(self) -> None:
         self.eigenvalues.setflags(write=False)
         self.vectors.setflags(write=False)
+        self.residuals.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -237,7 +243,9 @@ def diagonalize(h: np.ndarray) -> SpectralOperator:
     """Full eigendecomposition with ascending eigenvalues.
 
     The reconstruction U diag(E) U^T must match the input to 1e-10 relative
-    in Frobenius norm, otherwise the decomposition is rejected.
+    in Frobenius norm, otherwise the decomposition is rejected.  That
+    reconstruction error R bounds the residual of every eigenpair: for
+    orthonormal U, ||H u_a - E_a u_a|| = ||R u_a|| <= ||R||_F.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -252,7 +260,11 @@ def diagonalize(h: np.ndarray) -> SpectralOperator:
             f"eigendecomposition residual {residual:.3e} exceeds 1e-10 * ||H|| "
             f"= {_RESIDUAL_TOL * scale:.3e}"
         )
-    return SpectralOperator(eigenvalues=eigenvalues, vectors=vectors)
+    return SpectralOperator(
+        eigenvalues=eigenvalues,
+        vectors=vectors,
+        residuals=np.full(eigenvalues.size, residual),
+    )
 
 
 _EPS = np.finfo(float).eps
@@ -504,14 +516,17 @@ def _rank_one_operator(d: np.ndarray, v: np.ndarray, coupling: float) -> Spectra
     1e-10 ||H||_F (for orthonormal U the reconstruction error that
     ``diagonalize`` checks), with ||H||_F^2 = sum_i (d_i - coupling v_i^2)^2
     + coupling^2 (||v||^4 - sum_i v_i^4) in O(N), and ||U^T U - I||_F is
-    within 1e-10.
+    within 1e-10.  The row norms of that residual are the residuals of the
+    eigenpairs, which the operator keeps.
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.any(d[1:] < d[:-1]):
         raise PreconditionError("diagonal must be in ascending order")
     if coupling == 0.0:
-        return SpectralOperator(eigenvalues=d.copy(), vectors=np.eye(d.size))
+        return SpectralOperator(
+            eigenvalues=d.copy(), vectors=np.eye(d.size), residuals=np.zeros(d.size)
+        )
     flip = coupling > 0.0
     # s s^T = |coupling| v v^T, without forming coupling v_i^2 on the way
     s = math.sqrt(abs(coupling)) * v
@@ -527,7 +542,9 @@ def _rank_one_operator(d: np.ndarray, v: np.ndarray, coupling: float) -> Spectra
     check = np.subtract(ds[None, :], x[:, None])
     check *= u
     check += np.outer(u @ s, s)
-    residual = math.sqrt(np.einsum("ij,ij->", check, check))
+    # taken before the buffer is reused for U^T U
+    row_squares = np.einsum("ij,ij->i", check, check)
+    residual = math.sqrt(np.sum(row_squares))
     if not residual <= _RESIDUAL_TOL * scale:
         raise AccuracyError(
             f"rank-one eigendecomposition residual {residual / scale:.3e} ||H|| "
@@ -542,9 +559,10 @@ def _rank_one_operator(d: np.ndarray, v: np.ndarray, coupling: float) -> Spectra
             f"{_ORTHOGONALITY_TOL:g}"
         )
     x = np.ldexp(x, 2 * exponent)
+    rows = np.ldexp(np.sqrt(row_squares), 2 * exponent)
     if flip:
-        x, u = -x[::-1], np.ascontiguousarray(u[::-1, ::-1])
-    return SpectralOperator(eigenvalues=x, vectors=u.T)
+        x, u, rows = -x[::-1], np.ascontiguousarray(u[::-1, ::-1]), rows[::-1]
+    return SpectralOperator(eigenvalues=x, vectors=u.T, residuals=rows)
 
 
 @dataclass(frozen=True)

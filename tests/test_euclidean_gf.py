@@ -80,6 +80,44 @@ def log_time_factor_by_quad(omega, s2, gap):
     return math.log(2.0 * total / math.sqrt(2.0 * math.pi * s2)) + top
 
 
+def sesqui_by_mpmath(bra, ket, digits=40):
+    """<bra, C ket> of one pair at ``digits`` digits, from the radial integral
+    in its plain form kappa int p^2/(2 omega) T e^{const - S p^2/2}
+    sinh(pw)/(pw) dp, with const = -(a |p_b|^2 + b |p_k|^2)/2 and
+    T = e^{-gap^2/(2 s2)} (erfcx(z+) + erfcx(z-)), where the digits absorb
+    every cancellation."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(digits):
+        a, b = mp.mpf(bra.space_width) ** 2, mp.mpf(ket.space_width) ** 2
+        pb, pk = [mp.matrix(fn.momentum) for fn in (bra, ket)]
+        cb, ck = [mp.matrix(fn.center) for fn in (bra, ket)]
+        v = a * pb + b * pk + 1j * (cb - ck)
+        w = mp.sqrt(sum(x * x for x in v))
+        S = a + b
+        const = -(a * sum(x * x for x in pb) + b * sum(x * x for x in pk)) / 2
+        s2 = mp.mpf(bra.tau_width) ** 2 + mp.mpf(ket.tau_width) ** 2
+        gap = abs(mp.mpf(bra.tau_center) - mp.mpf(ket.tau_center))
+        root = mp.sqrt(2 * s2)
+
+        def integrand(p):
+            omega = mp.sqrt(p * p + MASS**2)
+            time = mp.exp(-gap * gap / (2 * s2)) * sum(
+                mp.exp(z * z) * mp.erfc(z)
+                for z in ((omega * s2 + gap) / root, (omega * s2 - gap) / root)
+            )
+            shell = mp.sinh(p * w) / (p * w) if w != 0 else 1
+            return p * p / (2 * omega) * time * mp.exp(const - S * p * p / 2) * shell
+
+        peak, width = mp.re(w) / S, 1 / mp.sqrt(S)
+        edges = [0] + [peak + k * width for k in (-12, -4, 0, 4, 12, 40) if peak + k * width > 0]
+        radial = mp.quad(integrand, edges + [mp.inf])
+        phase = sum(x * y for x, y in zip(pk, ck)) - sum(x * y for x, y in zip(pb, cb))
+        kappa = mp.conj(bra.amplitude) * ket.amplitude * (a * b) ** mp.mpf(1.5)
+        kappa *= mp.expj(phase) * 4 * mp.pi**2 * bra.tau_width * ket.tau_width
+        return complex(kappa * radial)
+
+
 class TestDescriptors:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -411,13 +449,58 @@ class TestBatchCore:
         assert [size for size, _, _ in passes] == expected
 
     def test_gram_node_count_is_pinned(self, monkeypatch):
-        # 80 base points per peak panel: two passes, the second at 160; 160
-        # base points evaluate 31908 nodes on this Gram
+        # 40 base points per peak panel: two passes, the second at 80
         fns = random_test_functions(KERNEL, np.random.default_rng(2024), 8)
         passes = self.record_passes(monkeypatch)
         physical_gram(KERNEL, fns)
         assert [factor for _, _, factor in passes] == [1.0, 2.0]
-        assert sum(nodes for _, nodes, _ in passes) == 16068
+        assert sum(nodes for _, nodes, _ in passes) == 8148
+
+
+class TestRadialIntegrand:
+    """The radial integrand in real arithmetic, with the exponent's large
+    terms cancelled in closed form."""
+
+    PROBES = [0.0, 100.0, 300.0, 500.0, 800.0]
+
+    @staticmethod
+    def mass_squared(momenta):
+        return np.array([row.mass_sq for row in dispersion_scan(KERNEL, momenta)])
+
+    def test_mass_squared_does_not_move_with_the_base_resolution(self, monkeypatch):
+        # about 9e-11; an exponent that adds terms near 1e6 moves it by 2.75e-6
+        values = {}
+        for base in (40, 80, 160, 640):
+            monkeypatch.setattr(euclidean_gf, "_BASE_POINTS", base)
+            values[base] = self.mass_squared(self.PROBES)
+        for base in (40, 80, 160):
+            assert np.max(np.abs(values[base] / values[640] - 1.0)) <= 1e-9
+
+    def test_mass_squared_error_on_the_default_probes(self):
+        # 1.7e-8 to 5.1e-8; with the cancelling exponent, 1.38e-5 at 800 MeV
+        errors = np.abs(self.mass_squared(self.PROBES) / MASS**2 - 1.0)
+        assert np.max(errors) <= 1e-7
+
+    @pytest.mark.parametrize("pair", ["isotropic", "v_zero"])
+    def test_pairs_with_w_zero_match_mpmath(self, pair):
+        if pair == "isotropic":
+            # v_r = 0.25 (4, 0, 0) and v_i = (0, 1, 0): v.v = 0 exactly, v != 0
+            bra = EuclideanTestFunction(0.026, 0.0035, 0.5, momentum=(4.0, 0.0, 0.0),
+                                        center=(0.0, 1.0, 0.0), amplitude=0.7)
+            ket = EuclideanTestFunction(0.030, 0.0035, 0.5, amplitude=1.1)
+        else:
+            bra, ket = real_lump(), real_lump(tau=0.02, st=0.002, sx=0.003)
+        value = KERNEL._sesqui([bra], [ket])[0]
+        assert np.isfinite(value) and value != 0.0
+        reference = sesqui_by_mpmath(bra, ket)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+
+    def test_pair_whose_exponent_cancels_1e6_matches_mpmath(self):
+        # sx^2 |p|^2 / 2 = 9.8e5 on each side, nearly all cancelled by p w_r
+        probe = standard_test_function(1400.0)
+        value = KERNEL._sesqui([probe.reflected()], [probe])[0]
+        reference = sesqui_by_mpmath(probe.reflected(), probe)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
 class TestInnerProducts:

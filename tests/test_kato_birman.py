@@ -21,6 +21,8 @@ from euscat.kato_birman import (
     KBConfig,
     _half_phase_overlaps,
     _hamiltonian,
+    _packet_resolution,
+    _phased_coordinates,
     beta_for,
     delta_e_overlap,
     exact_s_in_packets,
@@ -35,6 +37,7 @@ from euscat.kato_birman import (
 from euscat.model import (
     SeparableModel,
     coupling_for_binding,
+    critical_coupling,
     default_model,
     exact_s_on_shell,
     exact_t_on_shell,
@@ -366,6 +369,65 @@ class TestSweep:
         ):
             with pytest.raises(ConfigError, match=match):
                 sweep_n(MODEL, KBConfig(), n_values, PACKET_1GEV, PACKET_1GEV)
+
+
+class TestPacketResolution:
+    """A packet narrower in energy than the eigenpairs can resolve is refused.
+
+    At k = 1e-3 MeV and sigma = k/24 the energy spread 2 k sigma/m is 8.9e-11
+    MeV, at the secular solver's absolute deflation tolerance 8 eps ||H||.
+    Unguarded, the repulsive model returns |t| = 0.656 against 6.2e-6 there,
+    and the near-critical one t with a relative error of 0.38.
+    """
+
+    REPULSIVE = SeparableModel(MODEL.mass, -MODEL.coupling)
+    NEAR_CRITICAL = SeparableModel(MODEL.mass, critical_coupling() * (1.0 + 1e-8))
+
+    @staticmethod
+    def scan_ratio(model, k, n=300):
+        """The guard's ratio on the t-scan's packet, grid and beta at k."""
+        sigma = k / 24.0
+        beta = beta_for(k, model.mass, 0.5)
+        grid = build_grid(packet_grid_spec(k, sigma, n, beta, mass=model.mass))
+        psi = make_packet(k, sigma, grid, mass=model.mass)
+        op = _hamiltonian(model, grid, None)
+        free_phase = np.exp(-1j * n * np.exp(-beta * grid.nodes**2 / model.mass))
+        coords = _phased_coordinates(op, free_phase, psi, psi)
+        return _packet_resolution(op, coords, psi, psi)
+
+    @pytest.mark.parametrize("model", ["REPULSIVE", "NEAR_CRITICAL"])
+    def test_unresolved_packet_is_refused(self, model, apply_widths):
+        model = getattr(self, model)
+        k = 1e-3
+        cfg = KBConfig(n=300, beta=None, beta_x=0.5, sigma=k / 24.0)
+        with pytest.raises(AccuracyError, match="cannot resolve"):
+            extract_sharp_t(model, cfg, k)
+        grid = build_grid(packet_grid_spec(k, k / 24.0, 300, beta_for(k, model.mass)))
+        psi = make_packet(k, k / 24.0, grid, mass=model.mass)
+        with pytest.raises(AccuracyError, match="cannot resolve"):
+            sweep_n(model, cfg, [10, 300], psi, psi)
+        with pytest.raises(AccuracyError, match="cannot resolve"):
+            kb_s_overlap(model, cfg, psi, psi, propagator="exact")
+        assert apply_widths == []
+        assert self.scan_ratio(model, k) > 0.1
+
+    def test_resolved_small_momentum_passes(self):
+        # ten times the momentum: the secular path is right to 6.2e-10 in S
+        assert self.scan_ratio(self.REPULSIVE, 1e-2) < 1e-6
+        est = extract_sharp_t(self.REPULSIVE, KBConfig(n=300, beta=None, sigma=1e-2 / 24), 1e-2)
+        assert est.rel_err_s < 1e-8
+
+    def test_default_scan_points_are_far_below_the_threshold(self):
+        # 2.6e-16 to 1.8e-15 on the 20 default t-scan momenta
+        ratios = [self.scan_ratio(MODEL, float(k)) for k in np.geomspace(100.0, 2000.0, 20)]
+        assert 0.0 < max(ratios) < 1e-13
+
+    def test_dense_operator_carries_its_reconstruction_bound(self):
+        op = diagonalize(discretize_h(MODEL, GRID_1GEV))
+        assert op.residuals.shape == (GRID_1GEV.size,)
+        assert np.all(op.residuals == op.residuals[0]) and op.residuals[0] > 0.0
+        free = _hamiltonian(FREE, GRID_1GEV, None)
+        assert np.array_equal(free.residuals, np.zeros(GRID_1GEV.size))
 
 
 class TestTimeOracle:

@@ -349,6 +349,24 @@ class TestRankOneSolver:
         assert np.allclose(op.eigenvalues / scale, unit.eigenvalues, rtol=1e-14, atol=0.0)
         assert np.allclose(np.abs(op.vectors), np.abs(unit.vectors), rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["repulsive", "attractive"])
+    def test_residuals_are_those_of_the_eigenpairs_in_order(self, sign):
+        # a grid reaching down to k = 1e-3 MeV, where the deflated pairs have
+        # residuals far above the median; extended precision gives the
+        # residuals of the float pairs themselves
+        grid = build_grid(GridSpec(panels=[(0.0, 1e-3, 40), (1e-3, 6000.0, 160)]))
+        model = SeparableModel(MODEL.mass, sign * MODEL.coupling)
+        d, v = spectral._separable_terms(model, grid)
+        op = spectral._rank_one_operator(d, v, model.coupling)
+        d, v = d.astype(np.longdouble), v.astype(np.longdouble)
+        h = np.diag(d) - np.longdouble(model.coupling) * np.outer(v, v)
+        u = op.vectors.astype(np.longdouble)
+        exact = np.linalg.norm((h @ u - u * op.eigenvalues).astype(float), axis=0)
+        large = exact > 10.0 * np.median(exact)
+        assert np.count_nonzero(large) >= 5
+        assert np.allclose(op.residuals[large], exact[large], rtol=1e-2, atol=0.0)
+        assert not op.residuals.flags.writeable
+
     def test_rejects_a_descending_diagonal(self):
         with pytest.raises(PreconditionError):
             spectral._rank_one_operator(np.array([2.0, 1.0]), np.ones(2), 1.0)
