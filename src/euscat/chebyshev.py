@@ -104,18 +104,29 @@ def _bessel_j(degree: int, z: float) -> np.ndarray:
     return values[: degree + 1] / (1.0 + 2.0 * np.sum(values[2::2]))
 
 
-def expansion_coefficients(
-    oscillation: float, degree: int, domain: Tuple[float, float] = (0.0, 1.0)
+def _jacobi_anger(
+    oscillation: float, degree: int, a: float, b: float, z: float
 ) -> ChebyshevExpansion:
-    """Jacobi-Anger coefficients c_0..c_degree of e^{i*oscillation*x} on [a, b]."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    a, b, z = _checked(oscillation, domain)
     # i^j J_j(z) = (i sgn z)^j J_j(|z|), exact powers: -osc gives exact conjugates
     unit = 1j if z >= 0 else -1j
     powers = np.array([1.0, unit, -1.0, -unit])[np.arange(degree + 1) % 4]
     coeffs = 2.0 * _bessel_j(degree, abs(z)) * (powers * np.exp(0.5j * oscillation * (a + b)))
     return ChebyshevExpansion(degree, coeffs, (a, b), float(oscillation))
+
+
+def expansion_coefficients(
+    oscillation: float, degree: int, domain: Tuple[float, float] = (0.0, 1.0)
+) -> ChebyshevExpansion:
+    """Jacobi-Anger coefficients c_0..c_degree of e^{i*oscillation*x} on [a, b].
+
+    A degree above the limit raises ``AccuracyError`` before any allocation,
+    as a degree estimate above it does.
+    """
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    if degree > _MAX_DEGREE:
+        raise AccuracyError(f"degree {degree} exceeds the limit {_MAX_DEGREE}")
+    return _jacobi_anger(oscillation, degree, *_checked(oscillation, domain))
 
 
 def evaluate_scalar(exp: ChebyshevExpansion, x):
@@ -210,7 +221,7 @@ def converged_expansion(
     if tol < floor:
         raise AccuracyError(f"tol {tol:.3e} is below the rounding floor {floor:.3e} "
                             f"of the phase {oscillation:g} x on [{a:g}, {b:g}]")
-    full = expansion_coefficients(oscillation, _negligible_from(abs(z)), (a, b))
+    full = _jacobi_anger(oscillation, _negligible_from(abs(z)), a, b, z)
     # tails[N] = sum_{j>N} |c_j|; the uncomputed rest adds < 5e-18 < eps/40 <= tol/40
     tails = np.append(np.cumsum(np.abs(full.coefficients[:0:-1]))[::-1], 0.0)
     degree = int(np.argmax(tails + 5e-18 <= tol))

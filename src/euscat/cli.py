@@ -154,6 +154,8 @@ def cmd_gf_report(cfg: RunConfig, out_dir: Path) -> None:
     """Gram spectrum, dispersion scan, and cluster decay of the lattice-free
     Euclidean construction, one CSV each."""
     kernel = CovarianceKernel(cfg.gf_mass_mev)
+    # first, so that a momentum the probe cannot resolve fails before the Gram
+    disp_rows = dispersion_scan(kernel, cfg.momenta())
     rng = np.random.default_rng(cfg.seed)
 
     functions = random_test_functions(kernel, rng, cfg.gf_gram_size)
@@ -164,7 +166,6 @@ def cmd_gf_report(cfg: RunConfig, out_dir: Path) -> None:
     gram_rows.append(("min_over_max", float(eigenvalues[0] / eigenvalues[-1])))
     _write_csv(gram_path, ("index", "eigenvalue"), gram_rows)
 
-    disp_rows = dispersion_scan(kernel, cfg.momenta())
     disp_path = out_dir / "gf_dispersion.csv"
     _write_csv(
         disp_path,

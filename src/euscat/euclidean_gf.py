@@ -706,6 +706,14 @@ def cluster_check(
 # -- canonical states and scans ----------------------------------------------
 
 
+# the dispersion probe's time width, and its center in those widths
+_PROBE_WIDTH = 0.0035
+_PROBE_CENTER_WIDTHS = 7.5
+# largest omega(p) * _PROBE_WIDTH that dispersion_scan accepts: the probe's
+# Laplace saddle then stays 3 widths inside the reflection point
+_PROBE_MAX_OMEGA_WIDTH = _PROBE_CENTER_WIDTHS - 3.0
+
+
 def standard_test_function(momentum_x: float = 0.0) -> EuclideanTestFunction:
     """The canonical one-particle probe used by dispersion checks.
 
@@ -713,11 +721,13 @@ def standard_test_function(momentum_x: float = 0.0) -> EuclideanTestFunction:
     between its center and the reflection point over the momenta probed:
     past that, the Laplace-transform saddle of the time profile crosses the
     reflection point and the semigroup derivative saturates instead of
-    reading omega(p).  This holds for |p| up to about 1 GeV at mass 139 MeV.
+    reading omega(p).  ``dispersion_scan`` accepts omega*width up to 4.5,
+    the saddle 3 widths inside: |p| up to 1278 MeV at mass 139 MeV, where
+    M^2 is off by 1.3e-3 (by 1.5e-2 at 1400 MeV).
     """
     return EuclideanTestFunction(
-        tau_center=7.5 * 0.0035,
-        tau_width=0.0035,
+        tau_center=_PROBE_CENTER_WIDTHS * _PROBE_WIDTH,
+        tau_width=_PROBE_WIDTH,
         space_width=1.0,
         momentum=(momentum_x, 0.0, 0.0),
     )
@@ -738,8 +748,18 @@ def dispersion_scan(
     """One-particle <H> and <M^2> against the relativistic expectation.
 
     Everything here is Euclidean: energies come from a derivative of the
-    contractive semigroup, not from any analytic continuation.
+    contractive semigroup, not from any analytic continuation.  A momentum
+    the probe cannot resolve, omega(p) * 0.0035 above 4.5 (see
+    ``standard_test_function``), raises ``DomainError`` before any quadrature.
     """
+    for p in momenta:
+        omega = math.hypot(p, kernel.mass)
+        if not omega * _PROBE_WIDTH <= _PROBE_MAX_OMEGA_WIDTH:
+            raise DomainError(
+                f"momentum {p} MeV is beyond the dispersion probe: omega(p) = "
+                f"{omega:.6g} MeV, but the probe resolves omega(p) <= "
+                f"{_PROBE_MAX_OMEGA_WIDTH / _PROBE_WIDTH:.6g} MeV"
+            )
     rows = []
     m2 = kernel.mass * kernel.mass
     for p in momenta:
@@ -761,6 +781,12 @@ def dispersion_scan(
     return rows
 
 
+# largest Gram diagonal exponent of a random test function: below
+# log(float max) = 709.78 with room for an 8 x 8 Gram and a two-term inner
+# product; unshrunk draws reach 645 on the benchmark's gf seeds 0-149
+_GRAM_EXPONENT_BOUND = 600.0
+
+
 def random_test_functions(
     kernel: CovarianceKernel,
     rng: np.random.Generator,
@@ -770,7 +796,10 @@ def random_test_functions(
 
     Amplitudes are normalized to unit one-particle norm and then scattered,
     so Gram matrices built from these have order-one structure instead of
-    collapsing to a rank-one matrix of vacuum overlaps.
+    collapsing to a rank-one matrix of vacuum overlaps.  A function whose
+    Gram diagonal exponent |a|^2 <f|f> - Re(a^2 cov(f, f)) would pass
+    _GRAM_EXPONENT_BOUND has its amplitude a shrunk until it is that bound:
+    the exponent scales as |a|^2.
     """
     raws, scales = [], []
     for _ in range(count):
@@ -786,12 +815,19 @@ def random_test_functions(
         )
         phase = complex(np.exp(2j * math.pi * rng.uniform()))
         scales.append(rng.uniform(0.5, 1.0) * phase)
-    # no draw depends on a norm, so the norms come after the draws, in one batch
-    norms = kernel._sesqui([raw.reflected() for raw in raws], raws).real
-    return [
-        raw.scaled(scale / math.sqrt(norm))
-        for raw, scale, norm in zip(raws, scales, norms)
-    ]
+    # no draw depends on a norm, so the norms and the self-covariances come
+    # after the draws, in one batch
+    values = kernel._sesqui(
+        [raw.reflected() for raw in raws] + [raw.conjugated() for raw in raws], raws + raws
+    )
+    functions = []
+    for raw, scale, norm, cov in zip(raws, scales, values[:count].real, values[count:]):
+        amplitude = scale / math.sqrt(norm)
+        exponent = abs(amplitude) ** 2 * norm - (amplitude * amplitude * cov).real
+        if exponent > _GRAM_EXPONENT_BOUND:
+            amplitude *= math.sqrt(_GRAM_EXPONENT_BOUND / exponent)
+        functions.append(raw.scaled(amplitude))
+    return functions
 
 
 def cluster_probe_pair(

@@ -318,10 +318,12 @@ def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     |z_j|^2 ~ prod_a (d_j - x_a) / prod_{i != j} (d_j - d_i), which makes them
     orthogonal to working accuracy.
 
-    Each iteration is four elementwise passes over a [root, pole] matrix and
-    three matrix-vector products, on the roots still open (plus the split on
-    the rows that switched).  All of it runs in three K x K buffers: a fresh
-    array per pass costs more in page faults than the pass itself.
+    Each iteration is a row gather and four elementwise passes over a
+    [root, pole] matrix and three matrix-vector products, on the roots still
+    open (plus the split on the rows that switched).  All of it runs in two
+    K x K buffers, the pole spacings and a work array whose rows are gathered
+    from them: a fresh array per pass costs more in page faults than the
+    pass itself.
     """
     k = d.size
     w = v * v
@@ -333,9 +335,9 @@ def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
         # the interior roots: f at the midpoints picks the nearer pole, and
         # the model with the interval's two poles exact and the rest frozen
         # at the midpoint gives the first guess
-        work = np.subtract(spacing[:-1], half[:, None])
-        np.divide(1.0, work, out=work)
-        f_mid = 1.0 + work @ w
+        work = np.empty((k, k))
+        mid = np.subtract(spacing[:-1], half[:, None], out=work[:-1])
+        f_mid = 1.0 + np.divide(1.0, mid, out=mid) @ w
         lower = f_mid > 0.0
         # d of the interval's other pole, less d of the origin
         to_far = np.where(lower, gap, -gap)
@@ -347,7 +349,6 @@ def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     tau = np.where((tau != 0.0) & (lo <= tau) & (tau <= hi), tau, 0.5 * (lo + hi))
     # the last root is kept against d_{K-1}
     origin = np.append(np.where(lower, np.arange(k - 1), np.arange(1, k)), k - 1)
-    shifted = spacing[origin]
 
     rows = np.arange(k - 1)
     middle = np.zeros(k - 1, dtype=bool)
@@ -356,12 +357,9 @@ def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
         if rows.size == 0:
             break
         t = tau[rows]
-        inv = work[: rows.size]
-        if rows.size == k - 1:
-            np.subtract(shifted[:-1], t[:, None], out=inv)
-        else:
-            np.take(shifted, rows, axis=0, out=inv, mode="clip")
-            inv -= t[:, None]
+        # mode="raise" would buffer a copy of the gathered rows
+        inv = np.take(spacing, origin[rows], axis=0, out=work[: rows.size], mode="clip")
+        inv -= t[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(1.0, inv, out=inv)
             f = 1.0 + inv @ w
@@ -407,7 +405,7 @@ def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
             )
 
     # the last root, one row
-    row = shifted[-1, :-1]
+    row = spacing[-1, :-1]
     w_near, w_rest = float(w[-1]), w[:-1]
     end = float(np.sum(w))
     t, lo_t, hi_t = 0.5 * end, 0.0, end
@@ -447,7 +445,8 @@ def _secular_solve(d: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray
         )
     tau = np.append(tau, t)
 
-    delta = np.subtract(shifted, tau[:, None], out=shifted)
+    delta = np.take(spacing, origin, axis=0, out=work, mode="clip")
+    delta -= tau[:, None]
     np.fill_diagonal(spacing, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(delta, spacing, out=spacing)

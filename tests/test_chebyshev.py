@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import fft, special
 
+from euscat import chebyshev
 from euscat.chebyshev import (
     apply_to_semigroup,
     converged_expansion,
@@ -318,10 +319,19 @@ class TestConvergedExpansion:
         with pytest.raises(AccuracyError, match="exceeds the limit"):
             converged_expansion(4e6, (0.0, 1.0))
 
-    def test_coefficients_beyond_the_degree_limit_raise(self):
+    def test_coefficients_beyond_the_degree_limit_raise(self, monkeypatch):
         # Miller's recurrence would start past e|z|/2; cheb-table exits 3 here
         with pytest.raises(AccuracyError, match="exceeds the limit"):
             expansion_coefficients(4e6, 300)
+        # so does a degree past the limit, before any allocation: degree 3e6
+        # used to take 0.32 s, and 1e8 would ask for 800 MB per array
+        def refuse(degree, z):
+            raise AssertionError("Bessel values were computed")
+
+        monkeypatch.setattr(chebyshev, "_bessel_j", refuse)
+        for degree in (chebyshev._MAX_DEGREE + 1, 3_000_000):
+            with pytest.raises(AccuracyError, match=f"degree {degree} exceeds the limit"):
+                expansion_coefficients(220.0, degree)
 
     def test_zero_oscillation_needs_degree_zero(self):
         exp = converged_expansion(0.0, (0.0, 1.0))

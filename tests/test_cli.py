@@ -235,11 +235,25 @@ class TestEntryPoint:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "kb_sweep.csv").exists()
 
-    def test_overflowing_gram_exits_three(self, tmp_path, capsys):
-        # seed 1067 draws a test function whose Gram diagonal overflows exp
-        assert main(["gf-report", "--seed", "1067", "--out", str(tmp_path)]) == 3
-        err = capsys.readouterr().err
-        assert "exponent" in err and "log(float max)" in err
+    def test_seed_whose_gram_overflowed_exits_zero(self, tmp_path, capsys):
+        # seed 1067 draws a test function whose Gram diagonal exponent, 743,
+        # passed log(float max) before random draws were held to a bound
+        assert main(["gf-report", "--seed", "1067", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        _, rows = read_csv(tmp_path / "gf_gram.csv")
+        eigs = np.array([float(row[1]) for row in rows[:-1]])
+        assert np.all(np.isfinite(eigs)) and eigs.min() >= -1e-10 * eigs.max()
+
+    def test_degree_beyond_the_limit_exits_three(self, tmp_path, capsys):
+        path = write_config(tmp_path, "cheb.degree=1000001\n")
+        assert main(["cheb-table", "--config", path, "--out", str(tmp_path)]) == 3
+        assert "degree 1000001 exceeds the limit 1000000" in capsys.readouterr().err
+        assert not (tmp_path / "cheb_table.csv").exists()
+
+    def test_momentum_beyond_the_dispersion_probe_exits_three(self, tmp_path, capsys):
+        path = write_config(tmp_path, "gf.momenta_mev=0,2000\n")
+        assert main(["gf-report", "--config", path, "--out", str(tmp_path)]) == 3
+        assert "beyond the dispersion probe" in capsys.readouterr().err
         assert not (tmp_path / "gf_gram.csv").exists()
 
     def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
@@ -388,11 +402,12 @@ class TestTScan:
 
 
 class TestReferenceOutputs:
-    """The default ``t-scan`` and ``kb-sweep`` against the CSVs in
-    ``tests/data``, written by an earlier commit; a change that moves these
+    """The default ``t-scan``, ``kb-sweep`` and ``gf-report`` against the CSVs
+    in ``tests/data``, written by an earlier commit; a change that moves these
     outputs on purpose rewrites those files.
 
-    Each (re, im) pair is one complex value z, held to |dz| <= 1e-10 |z|.
+    In the scattering tables each (re, im) pair is one complex value z, held
+    to |dz| <= 1e-10 |z|.
     ``rel_err`` is itself a ratio to the exact value, so a 1e-10 relative move
     of the approximation moves it by at most 1e-10 (1 + rel_err).  ``k`` and
     ``n`` must match exactly.
@@ -415,6 +430,37 @@ class TestReferenceOutputs:
             assert np.all(np.abs(z_new - z_ref) <= 1e-10 * np.abs(z_ref))
         assert header[5] == "rel_err"
         assert np.all(np.abs(new[:, 5] - ref[:, 5]) <= 1e-10 * (1.0 + ref[:, 5]))
+
+    def test_default_gf_report_matches_the_reference(self, tmp_path, capsys):
+        # the bounds are ten times or more the drift when the covariance
+        # quadrature's base resolution goes from 40 to 80 and 160 points:
+        # 2.2e-16 of the largest Gram eigenvalue, 3.1e-14 in the energies,
+        # 4.5e-11 in M^2, 4.8e-11 in the cluster deviations and 2.6e-11 in
+        # their fitted rate; the first column (labels, p, distances) is exact
+        assert main(["gf-report", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        tables = {}
+        for name in ("gf_gram.csv", "gf_dispersion.csv", "gf_cluster.csv"):
+            header, rows = read_csv(tmp_path / name)
+            ref_header, ref_rows = read_csv(Path(__file__).parent / "data" / name)
+            assert header == ref_header
+            assert [row[0] for row in rows] == [row[0] for row in ref_rows]
+            tables[name] = (
+                np.array([row[1:] for row in rows], dtype=float),
+                np.array([row[1:] for row in ref_rows], dtype=float),
+            )
+        # eigenvalues and their min/max ratio, whose smallest is rounding
+        new, ref = tables["gf_gram.csv"]
+        assert np.all(np.abs(new - ref) <= 1e-12 * np.max(np.abs(ref)))
+        # energy, energy_exact, energy_rel_err, mass_sq, mass_sq_rel_err
+        new, ref = tables["gf_dispersion.csv"]
+        assert np.array_equal(new[:, 1], ref[:, 1])
+        for value, error, tol in ((0, 2, 1e-12), (3, 4, 1e-9)):
+            assert np.all(np.abs(new[:, value] - ref[:, value]) <= tol * ref[:, value])
+            assert np.all(np.abs(new[:, error] - ref[:, error]) <= tol * (1.0 + ref[:, error]))
+        # deviations, then the fitted rate
+        new, ref = tables["gf_cluster.csv"]
+        assert np.all(np.abs(new - ref) <= 1e-9 * np.abs(ref))
 
 
 GF_SMALL = "gf.gram_size=3\ngf.momenta_mev=0,300\ngf.cluster_points=5\n"

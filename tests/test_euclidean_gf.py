@@ -524,10 +524,28 @@ class TestInnerProducts:
         assert eigs.min() > 0
 
     def test_overflowing_gram_entry_raises(self):
-        # this draw has a diagonal exponent near 743, past log(float max)
+        # the first draw of seed 1067 is held to the bound's diagonal
+        # exponent, 600; scaled up, its exponent is 750, past log(float max)
         fns = random_test_functions(KERNEL, np.random.default_rng(1067), 8)
+        fns[0] = fns[0].scaled(math.sqrt(750.0 / euclidean_gf._GRAM_EXPONENT_BOUND))
         with pytest.raises(AccuracyError, match="exponent"):
             physical_gram(KERNEL, fns)
+
+    # (rng seed, size) of the benchmark's gf Gram draws whose diagonal
+    # exponents of 797-992 overflowed exp before draws were held to a bound
+    OVERFLOWING_DRAWS = [
+        ([49, 42], 7), ([53, 16], 8), ([53, 32], 6), ([86, 33], 4),
+        ([101, 91], 8), ([122, 81], 7), ([130, 12], 3), ([131, 97], 8),
+    ]
+
+    @pytest.mark.parametrize("seed, size", OVERFLOWING_DRAWS)
+    def test_draws_that_overflowed_give_a_psd_gram(self, seed, size):
+        fns = random_test_functions(KERNEL, np.random.default_rng(seed), size)
+        gram = physical_gram(KERNEL, fns)
+        exponents = np.log(gram.diagonal().real)
+        assert np.max(exponents) == pytest.approx(euclidean_gf._GRAM_EXPONENT_BOUND, rel=1e-12)
+        eigs = np.linalg.eigvalsh(gram)
+        assert np.all(np.isfinite(eigs)) and eigs.min() >= -1e-10 * eigs.max()
 
     def test_euclidean_inner_matches_value_algebra(self):
         f = real_lump(amp=0.9)
@@ -704,6 +722,19 @@ class TestOneParticle:
             assert row.mass_sq_rel_err < 5e-3, f"p={row.momentum}"
         masses = np.array([r.mass_sq for r in rows])
         assert np.max(np.abs(masses - MASS**2)) < 5e-3 * MASS**2
+
+    def test_dispersion_refuses_momenta_past_the_probe(self, monkeypatch):
+        # omega(p) * 0.0035 = 4.5 at p = 1278 MeV, where M^2 is off by
+        # 1.3e-3; past it, by 1.5e-2 at 1400 MeV and 17x at 2000 MeV
+        edge = math.sqrt((4.5 / 0.0035) ** 2 - MASS**2)
+        (row,) = dispersion_scan(KERNEL, [edge * (1.0 - 1e-9)])
+        assert row.mass_sq_rel_err < 5e-3 and row.energy_rel_err < 1e-3
+        calls = []
+        monkeypatch.setattr(CovarianceKernel, "_sesqui", lambda *args: calls.append(args))
+        for p in (edge * (1.0 + 1e-9), 2000.0, math.inf):
+            with pytest.raises(DomainError, match="beyond the dispersion probe"):
+                dispersion_scan(KERNEL, [0.0, p])
+        assert not calls
 
     def test_energy_momentum_mass_consistency(self):
         probe = standard_test_function(400.0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from euscat import spectral
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
+from euscat.kato_birman import beta_for, packet_grid_spec
 from euscat.model import SeparableModel, bound_state_energy, critical_coupling, default_model
 from euscat.spectral import (
     GridSpec,
@@ -366,6 +367,27 @@ class TestRankOneSolver:
         assert np.count_nonzero(large) >= 5
         assert np.allclose(op.residuals[large], exact[large], rtol=1e-2, atol=0.0)
         assert not op.residuals.flags.writeable
+
+    def test_secular_solver_holds_two_square_buffers(self, monkeypatch):
+        # the k0 = 1000 MeV, sigma = k0/24, n = 2000 t-scan layout, K = 1050:
+        # the pole spacings and one work array, 2 x 8 K^2 bytes and change
+        grid = build_grid(packet_grid_spec(1000.0, 1000.0 / 24.0, 2000, beta_for(1000.0)))
+        original, peaks = spectral._secular_solve, []
+
+        def traced(d, v):
+            tracemalloc.start()
+            try:
+                result = original(d, v)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak / (8 * d.size**2))
+            return result
+
+        monkeypatch.setattr(spectral, "_secular_solve", traced)
+        spectral._rank_one_operator(*spectral._separable_terms(MODEL, grid), MODEL.coupling)
+        assert grid.size == 1050 and len(peaks) == 1
+        assert peaks[0] <= 2.2
 
     def test_rejects_a_descending_diagonal(self):
         with pytest.raises(PreconditionError):
