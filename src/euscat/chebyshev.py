@@ -209,6 +209,15 @@ def uniform_error_report(
     return ErrorReport(rows, float(np.max(dense_cos)), float(np.max(dense_sin)))
 
 
+def _require_above_floor(tol: float, oscillation: float, a: float, b: float) -> None:
+    """``AccuracyError`` when ``tol`` is below the rounding of the phase
+    oscillation * x on [a, b], eps * max(1, |oscillation| * max(|a|, |b|))."""
+    floor = np.finfo(float).eps * max(1.0, abs(oscillation) * max(abs(a), abs(b)))
+    if tol < floor:
+        raise AccuracyError(f"tol {tol:.3e} is below the rounding floor {floor:.3e} "
+                            f"of the phase {oscillation:g} x on [{a:g}, {b:g}]")
+
+
 def converged_expansion(
     oscillation: float, domain: Tuple[float, float], tol: float = 1e-12
 ) -> ChebyshevExpansion:
@@ -217,10 +226,7 @@ def converged_expansion(
     a, b, z = _checked(oscillation, domain)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    floor = np.finfo(float).eps * max(1.0, abs(oscillation) * max(abs(a), abs(b)))
-    if tol < floor:
-        raise AccuracyError(f"tol {tol:.3e} is below the rounding floor {floor:.3e} "
-                            f"of the phase {oscillation:g} x on [{a:g}, {b:g}]")
+    _require_above_floor(tol, oscillation, a, b)
     full = _jacobi_anger(oscillation, _negligible_from(abs(z)), a, b, z)
     # tails[N] = sum_{j>N} |c_j|; the uncomputed rest adds < 5e-18 < eps/40 <= tol/40
     tails = np.append(np.cumsum(np.abs(full.coefficients[:0:-1]))[::-1], 0.0)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
@@ -278,6 +279,9 @@ class CovarianceKernel:
     def __init__(self, mass: float) -> None:
         if not (mass > 0 and math.isfinite(mass)):
             raise DomainError(f"mass must be positive and finite, got {mass}")
+        # omega = sqrt(p^2 + m^2) and the time steps divide by m^2
+        if not (math.isfinite(mass * mass) and mass * mass >= sys.float_info.min):
+            raise DomainError(f"mass {mass} MeV: its square is not a finite normal float")
         self.mass = float(mass)
 
     # -- time factor -------------------------------------------------------
@@ -794,12 +798,13 @@ def random_test_functions(
 ) -> List[EuclideanTestFunction]:
     """Randomized positive-time test functions for property-based checks.
 
-    Amplitudes are normalized to unit one-particle norm and then scattered,
-    so Gram matrices built from these have order-one structure instead of
-    collapsing to a rank-one matrix of vacuum overlaps.  A function whose
-    Gram diagonal exponent |a|^2 <f|f> - Re(a^2 cov(f, f)) would pass
-    _GRAM_EXPONENT_BOUND has its amplitude a shrunk until it is that bound:
-    the exponent scales as |a|^2.
+    Each amplitude a is a scatter factor in [0.5, 1) with a random phase,
+    over the one-particle norm, so before the scatter every function has unit
+    one-particle norm.  That does not bound the Gram scale: the Gram
+    diagonal exponent |a|^2 <f|f> - Re(a^2 cov(f, f)) still ranges over
+    hundreds, and the largest Gram eigenvalue over many decades.  Only its
+    top is held: a function whose exponent would pass _GRAM_EXPONENT_BOUND
+    has a shrunk until the exponent is that bound, as it scales as |a|^2.
     """
     raws, scales = [], []
     for _ in range(count):

@@ -29,8 +29,10 @@ with p(lambda_i), and as U is orthogonal
 ones gives the values p(lambda_i), each semigroup application being an
 elementwise product with e^{-beta E}; the series of every n of a sweep share
 that one pass, one column each, so a sweep costs the degree + 1 applications
-of its largest n.  A per-factor uniform error of 5e-13 bounds the overlap's
-by sup|p^2 - e^{2inx}| <= tol (2 + tol) < 1e-12.
+of its largest n.  The exact propagator of the tests shares every other step
+and takes e^{in lambda_i} in place of p(lambda_i).  A per-factor uniform
+error of 5e-13 bounds the overlap's by sup|p^2 - e^{2inx}| <= tol (2 + tol)
+< 1e-12.
 
 Conventions: S(k) = 1 - i pi m k t(k), energy density rho(E) = m k / 2.
 The sharp amplitude comes from the quotient
@@ -49,7 +51,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import _stacked, apply_to_semigroup, converged_expansion
+from .chebyshev import _require_above_floor, _stacked, apply_to_semigroup, converged_expansion
 from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from .model import (
     DEFAULT_MASS,
@@ -65,7 +67,6 @@ from .spectral import (
     _rank_one_operator,
     _separable_terms,
     build_grid,
-    semigroup_bounds,
 )
 
 
@@ -148,7 +149,12 @@ def beta_for(k0: float, mass: float = DEFAULT_MASS, x: float = 0.5) -> float:
     approximant invariant under rescaling of the packet momentum."""
     if not (k0 > 0 and mass > 0 and x > 0):
         raise DomainError(f"k0, mass, x must be positive, got {k0}, {mass}, {x}")
-    return x * mass / (k0 * k0)
+    if k0 * k0 == 0.0:
+        raise DomainError(f"the square of k0 = {k0} underflows to 0")
+    beta = x * mass / (k0 * k0)
+    if not (math.isfinite(beta) and beta > 0):
+        raise DomainError(f"beta = {beta} from k0 = {k0} is not positive and finite")
+    return beta
 
 
 def packet_grid_spec(
@@ -230,8 +236,15 @@ def make_packet(
             f"grid k_max={grid.k_max} does not cover the packet; "
             f"need k_max >= {k0 + 8.0 * sigma}"
         )
-    profile = np.exp(-((grid.nodes - k0) ** 2) / (4.0 * sigma * sigma))
-    norm = math.sqrt(np.sum(grid.weights * grid.nodes**2 * profile**2))
+    # an underflowing sigma^2 gives 0/0 at a node at k0; the norm check refuses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        profile = np.exp(-((grid.nodes - k0) ** 2) / (4.0 * sigma * sigma))
+        norm = math.sqrt(np.sum(grid.weights * grid.nodes**2 * profile**2))
+    if not (norm > 0 and math.isfinite(norm)):
+        raise PreconditionError(
+            f"packet at k0={k0} with sigma={sigma} has norm {norm} on the grid: "
+            "its profile falls between the nodes or its width underflows"
+        )
     return WavePacket(
         center=float(k0),
         width=float(sigma),
@@ -312,38 +325,55 @@ def _packet_resolution(
     return float(np.max(averages / spreads[: averages.size]))
 
 
-def _require_resolved(
-    op: SpectralOperator, coords: np.ndarray, psi_prime: WavePacket, psi: WavePacket
-) -> None:
-    ratio = _packet_resolution(op, coords, psi_prime, psi)
-    if not ratio <= _PACKET_RESOLUTION_TOL:
-        raise AccuracyError(
-            f"eigenpair residuals weighted by the packet at k={psi.center:g} MeV "
-            f"reach {ratio:.3e} of its energy spread, above "
-            f"{_PACKET_RESOLUTION_TOL:g}: the eigendecomposition cannot resolve it"
-        )
-
-
 def _half_phase_overlaps(
-    sg: Semigroup, ns: Sequence[int], mass: float, psi_prime: WavePacket, psi: WavePacket
+    model: SeparableModel,
+    cfg: KBConfig,
+    ns: Sequence[int],
+    psi_prime: WavePacket,
+    psi: WavePacket,
+    op: Optional[SpectralOperator] = None,
+    exact: bool = False,
 ) -> List[complex]:
     """u'^T e^{2inA} u for each n of ``ns`` by the half-phase identity of the
-    module docstring.  Every series and every n's coordinates are built
-    before the one Clenshaw pass, so a rounding-floor or unresolved-packet
-    ``AccuracyError`` comes before any application; each n has its own
-    coordinates and reduction, so its overlap does not depend on the other
-    n."""
-    _, hi = sg.bounds()
-    series = _stacked([converged_expansion(n, (0.0, hi), tol=_HALF_PHASE_TOL) for n in ns])
-    free_images = np.exp(-sg.beta * psi.grid.nodes**2 / mass)
+    module docstring, A = e^{-beta H} for the model's H on the packets' grid
+    (``op`` when given).  The propagators differ only in the values v of
+    e^{inx} on the spectrum: the Chebyshev series of every n in one Clenshaw
+    pass on a block of ones, or e^{in lambda} when ``exact``; the overlap is
+    (v c')^T (v c).  A rounding-floor error that interlacing shows comes
+    before the eigensolver, and every series and every n's coordinates are
+    built before the Clenshaw pass, so no ``AccuracyError`` comes after an
+    application; each n has its own coordinates and reduction, so its
+    overlap does not depend on the other n."""
+    grid = _require_shared_grid(psi_prime, psi)
+    beta = _resolve_beta(model, cfg, psi.center)
+    if not exact and grid.size >= 2:
+        # interlacing for a rank-one change of diag(k^2/m) (Golub, SIAM Rev.
+        # 15 (1973) 318): whatever the coupling, E_0 <= k_2^2/m, so the
+        # spectrum of A reaches at least e^{-beta k_2^2/m}
+        low = math.exp(-beta * grid.nodes[1] ** 2 / model.mass)
+        _require_above_floor(_HALF_PHASE_TOL, max(ns), 0.0, low)
+    sg = Semigroup(_hamiltonian(model, grid, op), beta)
+    if not exact:
+        hi = sg.bounds()[1]
+        series = _stacked([converged_expansion(n, (0.0, hi), tol=_HALF_PHASE_TOL) for n in ns])
+    free_images = np.exp(-beta * grid.nodes**2 / model.mass)
     coords = [
         _phased_coordinates(sg.op, np.exp(-1j * n * free_images), psi_prime, psi)
         for n in ns
     ]
     for block in coords:
-        _require_resolved(sg.op, block, psi_prime, psi)
-    # one contiguous row per n, laid out as a one-n pass lays out its values
-    values = apply_to_semigroup(series, sg, np.ones((sg.op.size, len(ns)))).T.copy()
+        ratio = _packet_resolution(sg.op, block, psi_prime, psi)
+        if not ratio <= _PACKET_RESOLUTION_TOL:
+            raise AccuracyError(
+                f"eigenpair residuals weighted by the packet at k={psi.center:g} MeV "
+                f"reach {ratio:.3e} of its energy spread, above "
+                f"{_PACKET_RESOLUTION_TOL:g}: the eigendecomposition cannot resolve it"
+            )
+    if exact:
+        values = np.exp(1j * np.multiply.outer(ns, sg.images))
+    else:
+        # one contiguous row per n, laid out as a one-n pass lays out its values
+        values = apply_to_semigroup(series, sg, np.ones((sg.op.size, len(ns)))).T.copy()
     overlaps = []
     for value, block in zip(values, coords):
         halves = value[:, None] * block
@@ -363,26 +393,14 @@ def kb_s_overlap(
     """The invariance-principle S-matrix overlap at parameter n.
 
     ``propagator`` selects how e^{2 i n exp(-beta H)} acts: "chebyshev" is the
-    production path (polynomial in the semigroup); "exact" evaluates the
-    spectral mapping directly and exists to isolate the polynomial layer's
-    error in tests.  Both act on the same eigen-coordinates, so they differ
-    only in the function of the eigenvalues.
+    production path (polynomial in the semigroup); "exact" takes the values
+    of e^{inx} on the spectrum directly and exists to isolate the polynomial
+    layer's error in tests; every other step is shared.  ``op``, when given,
+    must be the model's H on the packets' grid.
     """
-    grid = _require_shared_grid(psi_prime, psi)
-    beta = _resolve_beta(model, cfg, psi.center)
-    operator = _hamiltonian(model, grid, op)
-    if propagator == "chebyshev":
-        sg = Semigroup(operator, beta)
-        return _half_phase_overlaps(sg, [cfg.n], model.mass, psi_prime, psi)[0]
-    if propagator == "exact":
-        # the overflow check of the Semigroup, which this path does not build
-        semigroup_bounds(operator, beta)
-        free_phase = np.exp(-1j * cfg.n * np.exp(-beta * grid.nodes**2 / model.mass))
-        coords = _phased_coordinates(operator, free_phase, psi_prime, psi)
-        _require_resolved(operator, coords, psi_prime, psi)
-        images = np.exp(2j * cfg.n * np.exp(-beta * operator.eigenvalues))
-        return complex(coords[:, -1] @ (images * coords[:, 0]))
-    raise ValueError(f"unknown propagator {propagator!r}")
+    if propagator not in ("chebyshev", "exact"):
+        raise ValueError(f"unknown propagator {propagator!r}")
+    return _half_phase_overlaps(model, cfg, [cfg.n], psi_prime, psi, op, propagator == "exact")[0]
 
 
 def exact_s_in_packets(
@@ -463,16 +481,13 @@ def sweep_n(
     ns = [_check_n(n) for n in n_values]
     if any(b <= a for a, b in zip(ns[:-1], ns[1:])):
         raise ConfigError("n_values must be strictly ascending")
-    grid = _require_shared_grid(psi_prime, psi)
-    operator = _hamiltonian(model, grid, None)
     if reference == "packets":
         exact = exact_s_in_packets(model, psi_prime, psi)
     elif reference == "sharp":
         exact = exact_s_on_shell(model, psi.center)
     else:
         raise ValueError(f"unknown reference {reference!r}")
-    sg = Semigroup(operator, _resolve_beta(model, cfg, psi.center))
-    overlaps = _half_phase_overlaps(sg, ns, model.mass, psi_prime, psi)
+    overlaps = _half_phase_overlaps(model, cfg, ns, psi_prime, psi)
     return [
         SweepRow(
             n=n,

@@ -274,6 +274,8 @@ _DEFLATION = 8.0 * _EPS
 _MAX_SECULAR_ITERATIONS = 30
 # ||U^T U - I||_F; Gu-Eisenstat vectors reach about N eps
 _ORTHOGONALITY_TOL = 1e-10
+# rows per block of the rank-one term of the residual check
+_CHECK_ROWS = 64
 
 
 def _between_poles(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -540,7 +542,10 @@ def _rank_one_operator(d: np.ndarray, v: np.ndarray, coupling: float) -> Spectra
     scale = math.sqrt(np.sum((ds + w) ** 2) + max(np.sum(w) ** 2 - np.sum(w * w), 0.0))
     check = np.subtract(ds[None, :], x[:, None])
     check *= u
-    check += np.outer(u @ s, s)
+    # the rank-one term by blocks of rows, so no N x N outer product is formed
+    us = u @ s
+    for start in range(0, us.size, _CHECK_ROWS):
+        check[start : start + _CHECK_ROWS] += np.outer(us[start : start + _CHECK_ROWS], s)
     # taken before the buffer is reused for U^T U
     row_squares = np.einsum("ij,ij->i", check, check)
     residual = math.sqrt(np.sum(row_squares))
@@ -557,6 +562,7 @@ def _rank_one_operator(d: np.ndarray, v: np.ndarray, coupling: float) -> Spectra
             f"rank-one eigenvectors: ||U^T U - I||_F = {drift:.3e} exceeds "
             f"{_ORTHOGONALITY_TOL:g}"
         )
+    del check, gram  # released before the flip copies U
     x = np.ldexp(x, 2 * exponent)
     rows = np.ldexp(np.sqrt(row_squares), 2 * exponent)
     if flip:

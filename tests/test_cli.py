@@ -256,6 +256,18 @@ class TestEntryPoint:
         assert "beyond the dispersion probe" in capsys.readouterr().err
         assert not (tmp_path / "gf_gram.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, message",
+        [("t-scan", "scan.k_min_mev", "underflows"), ("gf-report", "gf.mass_mev", "square")],
+    )
+    def test_scale_whose_square_underflows_exits_three(
+        self, tmp_path, capsys, command, key, message
+    ):
+        # both exited 1 with a ZeroDivisionError traceback
+        path = write_config(tmp_path, f"{key}=1e-200\n")
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
         env_dir = tmp_path / "env_dir"
         flag_dir = tmp_path / "flag_dir"

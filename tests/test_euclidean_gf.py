@@ -242,6 +242,12 @@ class TestDescriptors:
         with pytest.raises(DomainError, match="beta"):
             time_translate(B, beta)
 
+    @pytest.mark.parametrize("mass", [1e-200, 1e200])
+    def test_mass_whose_square_leaves_the_normal_range_is_refused(self, mass):
+        # 1e-200 passed and dispersion_scan then divided by m^2 = 0
+        with pytest.raises(DomainError, match="square"):
+            CovarianceKernel(mass)
+
 
 class TestCovariance:
     def test_frozen_space_separated(self):

@@ -110,6 +110,48 @@ def test_every_definition_is_loaded():
     assert unused_definitions(package, others) == []
 
 
+def unloaded_private_names(package):
+    """Module-level private functions, classes and constants of the
+    ``package`` sources that no ``package`` source loads or imports: what
+    only the tests reach is dead code.  An import counts as a use, since
+    ``test_every_import_is_used`` holds the importer to loading it."""
+    defined, loaded = set(), set()
+    for source in package:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    return sorted(private - loaded)
+
+
+def test_detects_an_unloaded_private_name():
+    package = [
+        "from .b import _imported\n_LIMIT = 1.0\n_SPARE = 2.0\n__all__ = []\n"
+        "def _used(x):\n    return x * _LIMIT\n"
+        "def _require_resolved():\n    pass\n"
+        "class _Only:\n    pass\n",
+        "def _imported():\n    return _used(0)\n",
+    ]
+    assert unloaded_private_names(package) == ["_Only", "_SPARE", "_require_resolved"]
+
+
+def test_every_private_name_is_loaded_by_the_package():
+    package = [path.read_text() for path in SOURCES]
+    assert unloaded_private_names(package) == []
+
+
 def traced_layers(source: str):
     """The (module, attribute) pairs of the ``LAYERS`` literal in ``source``."""
     for node in ast.parse(source).body:

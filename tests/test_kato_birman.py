@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from euscat import spectral
+from euscat import kato_birman, spectral
 from euscat.chebyshev import apply_to_semigroup, converged_expansion
 from euscat.config import RunConfig
 from euscat.errors import AccuracyError, ConfigError, DomainError, PreconditionError
@@ -102,6 +102,16 @@ class TestWavePacket:
         with pytest.raises(DomainError):
             make_packet(1000.0, 0.0, GRID_1GEV)
 
+    def test_packet_without_norm_on_the_grid_is_refused(self):
+        # sigma^2 underflows, and the node at k0 gives 0/0; or the profile
+        # falls between the nodes of a coarse grid; both gave NaN values
+        assert 1000.0 in GRID_1GEV.nodes
+        with pytest.raises(PreconditionError, match="norm nan"):
+            make_packet(1000.0, 1e-200, GRID_1GEV)
+        coarse = build_grid(GridSpec(panels=[(0.0, 3000.0, 60)]))
+        with pytest.raises(PreconditionError, match="norm 0"):
+            make_packet(1000.0, 1e-6, coarse)
+
 
 class _DenseSemigroup:
     """Reference: e^{-beta H} as the dense U diag(e^{-beta E}) U^T acting on
@@ -116,6 +126,10 @@ class _DenseSemigroup:
 
     def bounds(self):
         return semigroup_bounds(self.op, self.beta)
+
+
+def _refuse(*args):
+    raise AssertionError("the eigensolver ran")
 
 
 class TestKBOverlap:
@@ -214,8 +228,7 @@ class TestKBOverlap:
         bra = make_packet(1040.0, 90.0, GRID_1GEV)
         tracemalloc.start()
         try:
-            sg = spectral.Semigroup(op, 5e-4)
-            _half_phase_overlaps(sg, [250], MODEL.mass, bra, PACKET_1GEV)
+            _half_phase_overlaps(MODEL, KBConfig(beta=5e-4), [250], bra, PACKET_1GEV, op)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -244,6 +257,15 @@ class TestKBOverlap:
             kb_s_overlap(
                 MODEL, KBConfig(), PACKET_1GEV, PACKET_1GEV, propagator="magic"
             )
+
+    def test_unknown_propagator_or_reference_is_refused_before_the_eigensolver(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(kato_birman, "_rank_one_operator", _refuse)
+        with pytest.raises(ValueError, match="propagator"):
+            kb_s_overlap(MODEL, KBConfig(), PACKET_1GEV, PACKET_1GEV, propagator="magic")
+        with pytest.raises(ValueError, match="reference"):
+            sweep_n(MODEL, KBConfig(), [10], PACKET_1GEV, PACKET_1GEV, reference="magic")
 
 
 class TestSweep:
@@ -529,6 +551,14 @@ class TestExtraction:
             extract_sharp_t(MODEL, KBConfig(n=100_000, beta=None, sigma=1000.0 / 24.0), 1000.0)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("k", [100.0, 1000.0, 1900.0])
+    def test_floor_error_comes_before_the_eigensolver(self, monkeypatch, k):
+        # interlacing bounds the top of the spectrum of e^{-beta H} from
+        # below before H is solved; n = 4000 is past the floor at every k
+        monkeypatch.setattr(kato_birman, "_rank_one_operator", _refuse)
+        with pytest.raises(AccuracyError, match="rounding floor"):
+            extract_sharp_t(MODEL, KBConfig(n=4000, beta=None, sigma=k / 24.0), k)
+
     def test_rejects_bad_momentum(self):
         with pytest.raises(DomainError):
             extract_sharp_t(MODEL, KBConfig(), -100.0)
@@ -563,6 +593,14 @@ class TestConfigAndHelpers:
         )
         with pytest.raises(DomainError):
             beta_for(-1.0, MODEL.mass)
+
+    def test_beta_for_refuses_a_square_out_of_range(self):
+        # k0^2 = 0 raised ZeroDivisionError; beta then overflows or vanishes
+        with pytest.raises(DomainError, match="underflows"):
+            beta_for(1e-200)
+        for k0 in (1e-160, 1e200):
+            with pytest.raises(DomainError, match="positive and finite"):
+                beta_for(k0)
 
     def test_packet_grid_spec_resolves_phases(self):
         small = packet_grid_spec(1000.0, 100.0, 50, 5e-4)

@@ -389,6 +389,21 @@ class TestRankOneSolver:
         assert grid.size == 1050 and len(peaks) == 1
         assert peaks[0] <= 2.2
 
+    def test_checks_hold_no_third_square_array(self):
+        # the same layout, the whole call: U with the check buffer, then U
+        # with its flipped copy (attractive coupling); 3.02 x 8 N^2 bytes
+        # while the rank-one term was one N x N outer product
+        grid = build_grid(packet_grid_spec(1000.0, 1000.0 / 24.0, 2000, beta_for(1000.0)))
+        d, v = spectral._separable_terms(MODEL, grid)
+        tracemalloc.start()
+        try:
+            spectral._rank_one_operator(d, v, MODEL.coupling)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert MODEL.coupling > 0.0 and grid.size == 1050
+        assert peak <= 2.2 * 8 * grid.size**2
+
     def test_rejects_a_descending_diagonal(self):
         with pytest.raises(PreconditionError):
             spectral._rank_one_operator(np.array([2.0, 1.0]), np.ones(2), 1.0)
