@@ -676,6 +676,13 @@ def one_particle_mass_squared(
 # -- cluster decomposition ---------------------------------------------------
 
 
+# deviations at or below this times Z[f] Z[g] are rounding noise: on the
+# default probe pair, at 18 separations from 2/m to 30/m, Z[f + g_a] -
+# Z[f] Z[g] misses Z[f] Z[g] |expm1(-cov(f, g_a))| by at most
+# 0.58 eps Z[f] Z[g], so an accepted deviation is good to 5.7e-4 relative
+_CLUSTER_FLOOR = 2.0**10 * np.finfo(float).eps
+
+
 def cluster_check(
     kernel: CovarianceKernel,
     f: EuclideanTestFunction,
@@ -686,7 +693,9 @@ def cluster_check(
 
     Fits ln(deviation) = c0 - rate*a - nu*ln(a) by least squares; for this
     kernel the deviation is essentially Z^2 |cov(f, g_a)| and the rate is the
-    field mass (the mass gap controls spacelike clustering).
+    field mass (the mass gap controls spacelike clustering).  A deviation at
+    or below 2^10 eps Z[f] Z[g], where rounding dominates it, raises
+    ``AccuracyError``.
     """
     dists = np.asarray(list(distances), dtype=float)
     if dists.size < 3:
@@ -698,8 +707,12 @@ def cluster_check(
     joints = [[(1.0, f), (1.0, g.translated((a, 0.0, 0.0)))] for a in dists]
     zf, zg, *joint = _gf_values(kernel, [[(1.0, f)], [(1.0, g)]] + joints)
     deviations = np.abs(np.array(joint) - zf * zg)
-    if np.any(deviations <= 0):
-        raise AccuracyError("cluster deviation underflowed; separations too large")
+    floor = _CLUSTER_FLOOR * zf * zg
+    if not np.all(deviations > floor):
+        raise AccuracyError(
+            f"cluster deviation {np.min(deviations):.3e} is at or below the rounding "
+            f"floor 2^10 eps Z[f] Z[g] = {floor:.3e}; separations too large"
+        )
     design = np.column_stack([np.ones(dists.size), -dists, -np.log(dists)])
     coeffs, *_ = np.linalg.lstsq(design, np.log(deviations), rcond=None)
     return ClusterReport(

@@ -218,10 +218,20 @@ def packet_grid_spec(
     return GridSpec(panels=panels)
 
 
+# largest relative miss of a packet's squared norm on its grid against the
+# closed form: at most 7.4e-5 on the test suite's off-grid packets, 5.4e-3 at
+# sigma = 10 MeV on the default kb-sweep grid, about 18 MeV between nodes at k0
+_PACKET_NORM_TOL = 1e-3
+
+
 def make_packet(
     k0: float, sigma: float, grid: RadialGrid, mass: float = DEFAULT_MASS
 ) -> WavePacket:
-    """Unit-norm Gaussian profile exp(-(k-k0)^2/(4 sigma^2)) on the grid."""
+    """Unit-norm Gaussian profile exp(-(k-k0)^2/(4 sigma^2)) on the grid.
+
+    A grid whose quadrature of the squared norm misses its closed form by
+    more than 1e-3 relative does not resolve the packet: ``PreconditionError``.
+    """
     if not (k0 > 0 and math.isfinite(k0)):
         raise DomainError(f"k0 must be positive and finite, got {k0}")
     if not (sigma > 0 and math.isfinite(sigma)):
@@ -239,11 +249,18 @@ def make_packet(
     # an underflowing sigma^2 gives 0/0 at a node at k0; the norm check refuses it
     with np.errstate(divide="ignore", invalid="ignore"):
         profile = np.exp(-((grid.nodes - k0) ** 2) / (4.0 * sigma * sigma))
-        norm = math.sqrt(np.sum(grid.weights * grid.nodes**2 * profile**2))
-    if not (norm > 0 and math.isfinite(norm)):
+        norm_sq = float(np.sum(grid.weights * grid.nodes**2 * profile**2))
+    norm = math.sqrt(norm_sq)
+    # int_0^inf k^2 profile^2 dk in closed form (r * r: a power would overflow)
+    r = k0 / sigma
+    gauss = math.sqrt(0.5 * math.pi) * (1.0 + math.erf(r / math.sqrt(2.0)))
+    exact = sigma * ((k0 * k0 + sigma * sigma) * gauss + sigma * k0 * math.exp(-0.5 * r * r))
+    miss = abs(norm_sq - exact) / exact if exact > 0.0 else math.inf
+    if not miss <= _PACKET_NORM_TOL:
         raise PreconditionError(
-            f"packet at k0={k0} with sigma={sigma} has norm {norm} on the grid: "
-            "its profile falls between the nodes or its width underflows"
+            f"packet at k0={k0} with sigma={sigma} has norm {norm} on the grid, and its "
+            f"square misses the closed-form integral by {miss:.3g} relative: the grid "
+            "does not resolve the profile, or its width underflows"
         )
     return WavePacket(
         center=float(k0),

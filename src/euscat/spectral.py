@@ -15,16 +15,17 @@ eigendecomposition serves every later evaluation of e^{-beta H}.  H is
 diagonal plus rank one, diag(k^2/m) - coupling v v^T, so the scattering
 pipeline never forms it: ``_rank_one_operator`` solves the secular equation
 in O(N^2) work per iteration, where ``diagonalize``, kept for any dense
-symmetric input such as ``discretize_h``, calls eigh at O(N^3).  A
-``Semigroup`` is e^{-beta H} in the eigenbasis: on eigen-coordinates
-c = U^T u it is the elementwise product with the images e^{-beta E} of its one
-beta, so no N x N function of H is ever formed.  ``semigroup_apply`` takes
-grid coordinates u and goes through U^T and U; complex vectors meet the real
-U through a zero-copy real view, so U is never copied to complex.  Only
-the contractive direction beta >= 0 is exposed.  With an attractive coupling the
-spectrum dips below zero, so the upper semigroup bound exceeds 1 by
-e^{-beta E_bound}; downstream polynomial approximation widens its domain
-accordingly instead of shifting H.
+symmetric input such as ``discretize_h``, calls eigh at O(N^3); one
+residual and orthogonality check accepts both.  A ``Semigroup`` is
+e^{-beta H} in the eigenbasis: on eigen-coordinates c = U^T u it is the
+elementwise product with the images e^{-beta E} of its one beta, so no
+N x N function of H is ever formed.  ``semigroup_apply`` takes grid
+coordinates u and applies a ``Semigroup`` between U^T and U; complex
+vectors meet the real U through a zero-copy real view, so U is never
+copied to complex.  Only the contractive direction beta >= 0 is exposed.
+With an attractive coupling the spectrum dips below zero, so the upper
+semigroup bound exceeds 1 by e^{-beta E_bound}; downstream polynomial
+approximation widens its domain accordingly instead of shifting H.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class RadialGrid:
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # an eigendecomposition is rejected above ||HU - U diag(E)||_F / ||H||_F
 _RESIDUAL_TOL = 1e-10
+# or above ||U^T U - I||_F; Gu-Eisenstat vectors reach about N eps
+_ORTHOGONALITY_TOL = 1e-10
 # largest grid build_grid accepts: the eigensolver and its checks hold about
 # five N x N float64 arrays, 40 N^2 bytes, 2.7 GB at this N; an n = 10^4
 # t-scan layout has N = 5050-5130
@@ -95,8 +98,8 @@ def _real_product(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
 class SpectralOperator:
     """Eigendecomposition H = U diag(eigenvalues) U^T.
 
-    ``residuals`` holds ||H u_a - E_a u_a|| of each eigenpair, or a bound on
-    it, in the units of the eigenvalues.
+    ``residuals`` holds ||H u_a - E_a u_a|| of each eigenpair, in the units
+    of the eigenvalues.
     """
 
     eigenvalues: np.ndarray
@@ -116,14 +119,6 @@ class SpectralOperator:
         """U^T v: the eigen-coordinates of a real or complex vector, or of the
         columns of a block, as one real matrix product."""
         return _real_product(self.vectors.T, v)
-
-    def apply_images(self, images: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """U diag(images) U^T v: the function of H with values ``images`` at
-        the eigenvalues, applied to a vector or to the columns of a matrix."""
-        coeffs = self.coordinates(v)
-        if coeffs.ndim == 2:
-            images = images[:, None]
-        return _real_product(self.vectors, images * coeffs)
 
 
 # Newton steps allowed per Gauss-Legendre rule; from Tricomi's guesses the
@@ -240,12 +235,11 @@ def discretize_h(model: SeparableModel, grid: RadialGrid) -> np.ndarray:
 
 
 def diagonalize(h: np.ndarray) -> SpectralOperator:
-    """Full eigendecomposition with ascending eigenvalues.
+    """Full eigendecomposition with ascending eigenvalues, by eigh.
 
-    The reconstruction U diag(E) U^T must match the input to 1e-10 relative
-    in Frobenius norm, otherwise the decomposition is rejected.  That
-    reconstruction error R bounds the residual of every eigenpair: for
-    orthonormal U, ||H u_a - E_a u_a|| = ||R u_a|| <= ||R||_F.
+    The residual of each eigenpair is a row of U^T H - diag(E) U^T, which is
+    (H u_a - E_a u_a)^T for symmetric H; ``_accepted_residuals`` checks it
+    and the orthogonality of U, as for the rank-one solver.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -254,17 +248,41 @@ def diagonalize(h: np.ndarray) -> SpectralOperator:
     if np.linalg.norm(h - h.T) > 1e-12 * scale:
         raise PreconditionError("matrix must be symmetric")
     eigenvalues, vectors = np.linalg.eigh(h)
-    residual = np.linalg.norm((vectors * eigenvalues) @ vectors.T - h)
-    if residual > _RESIDUAL_TOL * scale:
-        raise AccuracyError(
-            f"eigendecomposition residual {residual:.3e} exceeds 1e-10 * ||H|| "
-            f"= {_RESIDUAL_TOL * scale:.3e}"
-        )
+    rows = vectors.T @ h
+    rows -= eigenvalues[:, None] * vectors.T
     return SpectralOperator(
         eigenvalues=eigenvalues,
         vectors=vectors,
-        residuals=np.full(eigenvalues.size, residual),
+        residuals=_accepted_residuals(rows, vectors.T, scale),
     )
+
+
+def _accepted_residuals(rows: np.ndarray, u: np.ndarray, scale: float) -> np.ndarray:
+    """||H u_a - E_a u_a|| of each eigenpair from the rows H u_a - E_a u_a
+    of ``rows``, the eigenvectors u_a being the rows of ``u``: the one
+    acceptance check of every eigendecomposition.
+
+    ``AccuracyError`` rejects the decomposition unless the Frobenius norm of
+    ``rows`` is within 1e-10 ``scale`` (||H||_F) and that of the eigenvectors'
+    Gram matrix less I is within 1e-10.  The Gram matrix is formed in
+    ``rows``, which is overwritten, so the check makes no N x N array.
+    """
+    # taken before the buffer is reused for the Gram matrix
+    row_squares = np.einsum("ij,ij->i", rows, rows)
+    residual = math.sqrt(np.sum(row_squares))
+    if not residual <= _RESIDUAL_TOL * scale:
+        raise AccuracyError(
+            f"eigendecomposition residual {residual:.3e} exceeds "
+            f"{_RESIDUAL_TOL:g} ||H||_F = {_RESIDUAL_TOL * scale:.3e}"
+        )
+    gram = np.matmul(u, u.T, out=rows)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    drift = math.sqrt(np.einsum("ij,ij->", gram, gram))
+    if not drift <= _ORTHOGONALITY_TOL:
+        raise AccuracyError(
+            f"eigenvectors: ||U^T U - I||_F = {drift:.3e} exceeds {_ORTHOGONALITY_TOL:g}"
+        )
+    return np.sqrt(row_squares)
 
 
 _EPS = np.finfo(float).eps
@@ -272,8 +290,6 @@ _EPS = np.finfo(float).eps
 _DEFLATION = 8.0 * _EPS
 # dlaed4's iteration cap per secular root
 _MAX_SECULAR_ITERATIONS = 30
-# ||U^T U - I||_F; Gu-Eisenstat vectors reach about N eps
-_ORTHOGONALITY_TOL = 1e-10
 # rows per block of the rank-one term of the residual check
 _CHECK_ROWS = 64
 
@@ -512,22 +528,16 @@ def _rank_one_operator(d: np.ndarray, v: np.ndarray, coupling: float) -> Spectra
 
     With s = sqrt(|coupling|) v, a repulsive coupling is diag(d) + s s^T and
     an attractive one is solved as -H = diag(-d) + s s^T in reversed order;
-    coupling 0 gives (d, I).  ``AccuracyError`` rejects the result unless
-    the residual ||D U - coupling v (v^T U) - U diag(E)||_F is within
-    1e-10 ||H||_F (for orthonormal U the reconstruction error that
-    ``diagonalize`` checks), with ||H||_F^2 = sum_i (d_i - coupling v_i^2)^2
-    + coupling^2 (||v||^4 - sum_i v_i^4) in O(N), and ||U^T U - I||_F is
-    within 1e-10.  The row norms of that residual are the residuals of the
-    eigenpairs, which the operator keeps.
+    at coupling 0 the deflation deflates every pole and gives (d, I).  The
+    residual rows D U - coupling v (v^T U) - U diag(E), O(N^2) to form, go
+    to ``_accepted_residuals`` with ||H||_F^2 = sum_i (d_i - coupling v_i^2)^2
+    + coupling^2 (||v||^4 - sum_i v_i^4) in O(N); the operator keeps their
+    row norms, the residuals of the eigenpairs.
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.any(d[1:] < d[:-1]):
         raise PreconditionError("diagonal must be in ascending order")
-    if coupling == 0.0:
-        return SpectralOperator(
-            eigenvalues=d.copy(), vectors=np.eye(d.size), residuals=np.zeros(d.size)
-        )
     flip = coupling > 0.0
     # s s^T = |coupling| v v^T, without forming coupling v_i^2 on the way
     s = math.sqrt(abs(coupling)) * v
@@ -546,25 +556,10 @@ def _rank_one_operator(d: np.ndarray, v: np.ndarray, coupling: float) -> Spectra
     us = u @ s
     for start in range(0, us.size, _CHECK_ROWS):
         check[start : start + _CHECK_ROWS] += np.outer(us[start : start + _CHECK_ROWS], s)
-    # taken before the buffer is reused for U^T U
-    row_squares = np.einsum("ij,ij->i", check, check)
-    residual = math.sqrt(np.sum(row_squares))
-    if not residual <= _RESIDUAL_TOL * scale:
-        raise AccuracyError(
-            f"rank-one eigendecomposition residual {residual / scale:.3e} ||H|| "
-            f"exceeds {_RESIDUAL_TOL:g} ||H||"
-        )
-    gram = np.matmul(u, u.T, out=check)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    drift = math.sqrt(np.einsum("ij,ij->", gram, gram))
-    if not drift <= _ORTHOGONALITY_TOL:
-        raise AccuracyError(
-            f"rank-one eigenvectors: ||U^T U - I||_F = {drift:.3e} exceeds "
-            f"{_ORTHOGONALITY_TOL:g}"
-        )
-    del check, gram  # released before the flip copies U
+    rows = _accepted_residuals(check, u, scale)
+    del check  # released before the flip copies U
     x = np.ldexp(x, 2 * exponent)
-    rows = np.ldexp(np.sqrt(row_squares), 2 * exponent)
+    rows = np.ldexp(rows, 2 * exponent)
     if flip:
         x, u, rows = -x[::-1], np.ascontiguousarray(u[::-1, ::-1]), rows[::-1]
     return SpectralOperator(eigenvalues=x, vectors=u.T, residuals=rows)
@@ -601,14 +596,16 @@ class Semigroup:
 
 
 def semigroup_apply(op: SpectralOperator, beta: float, v: np.ndarray) -> np.ndarray:
-    """e^{-beta H} v for v in grid coordinates, through U^T and U; beta must
-    be finite and >= 0, and a beta > 0 whose bound e^{-beta E_0} overflows
-    raises ``AccuracyError``."""
+    """e^{-beta H} v for v in grid coordinates: the ``Semigroup`` of beta,
+    with its overflow check, between U^T and U, or the identity at beta = 0;
+    beta must be finite and >= 0."""
     if not (math.isfinite(beta) and beta >= 0):
         raise DomainError(f"beta must be finite and >= 0, got {beta}")
-    if beta > 0:
-        semigroup_bounds(op, beta)
-    return op.apply_images(np.exp(-beta * op.eigenvalues), v)
+    images = Semigroup(op, beta).images if beta > 0 else np.ones(op.size)
+    coeffs = op.coordinates(v)
+    if coeffs.ndim == 2:
+        images = images[:, None]
+    return _real_product(op.vectors, images * coeffs)
 
 
 def semigroup_bounds(op: SpectralOperator, beta: float) -> Tuple[float, float]:

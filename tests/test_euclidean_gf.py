@@ -382,6 +382,16 @@ class TestGeneratingFunctional:
         with pytest.raises(ConfigError):
             cluster_check(KERNEL, f, g, [0.02, 0.01, 0.03])
 
+    @pytest.mark.parametrize("end", [24.0, 30.0], ids=["below-floor", "exact-zero"])
+    def test_cluster_deviation_in_rounding_noise_is_refused(self, end):
+        # at 24/m the deviation 4.8e-14 is 9.8e-4 off its reference
+        # Z[f] Z[g] |expm1(-cov(f, g_a))|, below the floor 2^10 eps Z[f] Z[g]
+        # = 1.6e-13; at 30/m it is exactly 0
+        f, g = cluster_probe_pair(KERNEL)
+        with pytest.raises(AccuracyError, match="rounding floor"):
+            cluster_check(KERNEL, f, g, np.array([2.0, 8.0, end]) / MASS)
+        assert cluster_check(KERNEL, f, g, np.array([2.0, 8.0, 22.0]) / MASS).deviations[-1] > 0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_cluster_distances_must_be_finite(self, bad):
         # they used to pass the ordering checks and surface as a

@@ -9,6 +9,8 @@ are skipped.  A definition counts as used when its name is loaded, as a name
 or an attribute, anywhere in the package or the tests; dunders are called by
 Python itself, and a re-export in ``__init__.py`` is not a use.
 
+``euscat.__all__`` holds exactly the 75 public names, and each resolves.
+
 Every function the benchmark traces (``LAYERS`` in ``bench/spans.py``, read
 with ``ast`` so the bench is not imported) exists in the package; the tracer
 only warns about a missing one, and its layer metrics would read 0.
@@ -150,6 +152,35 @@ def test_detects_an_unloaded_private_name():
 def test_every_private_name_is_loaded_by_the_package():
     package = [path.read_text() for path in SOURCES]
     assert unloaded_private_names(package) == []
+
+
+# the public API; a name added, removed or renamed here is an API change
+PUBLIC_API = """
+AccuracyError ConfigError DomainError PreconditionError
+DEFAULT_BINDING DEFAULT_MASS DEFAULT_MPI SeparableModel OnShellAmplitude default_model
+coupling_for_binding critical_coupling bound_state_energy form_factor
+resolvent_form_factor_element exact_t_on_shell exact_s_on_shell on_shell_amplitude
+GridSpec RadialGrid SpectralOperator Semigroup build_grid discretize_h diagonalize
+semigroup_apply semigroup_bounds
+ChebyshevExpansion ErrorReport expansion_coefficients converged_expansion evaluate_scalar
+apply_to_semigroup uniform_error_report
+WavePacket KBConfig SMatrixEstimate SweepRow beta_for packet_grid_spec make_packet
+packet_overlap kb_s_overlap exact_s_in_packets time_limit_s_overlap delta_e_overlap
+sweep_n extract_sharp_t
+EuclideanTestFunction WaveFunctional CovarianceKernel FDResult ClusterReport DispersionRow
+covariance gf_value euclidean_inner physical_inner one_particle_inner time_translate
+hamiltonian_element momentum_element mass_squared_element one_particle_hamiltonian
+one_particle_momentum one_particle_mass_squared cluster_check dispersion_scan
+standard_test_function random_test_functions cluster_probe_pair physical_gram
+euclidean_gram
+RunConfig resolve_config
+""".split()
+
+
+def test_public_api_is_pinned():
+    assert len(PUBLIC_API) == len(set(PUBLIC_API)) == 75
+    assert sorted(euscat.__all__) == sorted(PUBLIC_API)  # no name twice either
+    assert [name for name in euscat.__all__ if getattr(euscat, name, None) is None] == []
 
 
 def traced_layers(source: str):

@@ -112,6 +112,17 @@ class TestWavePacket:
         with pytest.raises(PreconditionError, match="norm 0"):
             make_packet(1000.0, 1e-6, coarse)
 
+    @pytest.mark.parametrize("sigma", [1e-6, 10.0])
+    def test_packet_the_grid_cannot_resolve_is_refused(self, sigma):
+        # about 18 MeV between the nodes at k0: at sigma = 1e-6 the packet is
+        # the one node at 1000 and S came out 1.6e-3 off with no error; the
+        # squared norms miss their closed form by 7.3e6 and 5.4e-3 relative
+        assert 1000.0 in GRID_1GEV.nodes
+        with pytest.raises(PreconditionError, match="does not resolve"):
+            make_packet(1000.0, sigma, GRID_1GEV)
+        # 3.5e-6 at 15 MeV
+        assert make_packet(1000.0, 15.0, GRID_1GEV).width == 15.0
+
 
 class _DenseSemigroup:
     """Reference: e^{-beta H} as the dense U diag(e^{-beta E}) U^T acting on
@@ -444,10 +455,15 @@ class TestPacketResolution:
         ratios = [self.scan_ratio(MODEL, float(k)) for k in np.geomspace(100.0, 2000.0, 20)]
         assert 0.0 < max(ratios) < 1e-13
 
-    def test_dense_operator_carries_its_reconstruction_bound(self):
-        op = diagonalize(discretize_h(MODEL, GRID_1GEV))
+    def test_dense_and_free_operators_carry_per_pair_residuals(self):
+        # each dense pair has its own residual, at most the reconstruction
+        # error ||U diag(E) U^T - H||_F that bounds all of them
+        h = discretize_h(MODEL, GRID_1GEV)
+        op = diagonalize(h)
+        bound = np.linalg.norm((op.vectors * op.eigenvalues) @ op.vectors.T - h)
         assert op.residuals.shape == (GRID_1GEV.size,)
-        assert np.all(op.residuals == op.residuals[0]) and op.residuals[0] > 0.0
+        assert np.unique(op.residuals).size > 1
+        assert 0.0 < np.max(op.residuals) <= bound
         free = _hamiltonian(FREE, GRID_1GEV, None)
         assert np.array_equal(free.residuals, np.zeros(GRID_1GEV.size))
 

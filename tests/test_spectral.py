@@ -203,6 +203,57 @@ class TestDiscretizeAndDiagonalize:
         with pytest.raises(PreconditionError):
             diagonalize(np.ones((2, 3)))
 
+    def test_residuals_are_those_of_the_eigenpairs_in_order(self, monkeypatch):
+        # every seventh eigenvalue of eigh moved by up to 1.4e-11 ||H||_F, so
+        # that those residuals stand far above the rounding of their
+        # evaluation; extended precision gives the residuals of the pairs
+        h = discretize_h(MODEL, SMALL_GRID)
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            e, u = eigh(a)
+            e[::7] += 1e-12 * np.linalg.norm(a) * np.arange(1, e[::7].size + 1)
+            return e, u
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        op = diagonalize(h)
+        u = op.vectors.astype(np.longdouble)
+        exact = np.linalg.norm(
+            (h.astype(np.longdouble) @ u - u * op.eigenvalues).astype(float), axis=0
+        )
+        large = exact > 10.0 * np.median(exact)
+        assert np.count_nonzero(large) >= 5
+        assert np.allclose(op.residuals[large], exact[large], rtol=1e-2, atol=0.0)
+        assert not op.residuals.flags.writeable
+
+    def test_residual_check_rejects_wrong_vectors(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], eigh(a)[1][:, ::-1]))
+        with pytest.raises(AccuracyError, match="residual"):
+            diagonalize(discretize_h(MODEL, SMALL_GRID))
+
+    def test_orthogonality_check_rejects_a_repeated_eigenspace(self, monkeypatch):
+        # eigenvalue 1 twice: columns e_0 and (e_0 + e_1)/sqrt(2) leave no residual
+        skewed = np.eye(3)
+        skewed[1, 1] = skewed[0, 1] = math.sqrt(0.5)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 1.0, 2.0]), skewed))
+        with pytest.raises(AccuracyError, match="U\\^T U - I"):
+            diagonalize(np.diag([1.0, 1.0, 2.0]))
+
+    def test_every_solver_goes_through_the_one_acceptance_check(self, monkeypatch):
+        original, sizes = spectral._accepted_residuals, []
+
+        def counted(rows, u, scale):
+            sizes.append(u.shape[0])
+            return original(rows, u, scale)
+
+        monkeypatch.setattr(spectral, "_accepted_residuals", counted)
+        diagonalize(np.diag([3.0, 1.0]))
+        d, v = spectral._separable_terms(MODEL, SMALL_GRID)
+        for coupling in (MODEL.coupling, 0.0):
+            spectral._rank_one_operator(d, v, coupling)
+        assert sizes == [2, SMALL_GRID.size, SMALL_GRID.size]
+
 
 EPS = np.finfo(float).eps
 
