@@ -28,6 +28,7 @@ analytic derivatives, so that the differentiation layer is exercised too.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -202,6 +203,41 @@ _BASE_POINTS = 40
 _TOL = 1e-10
 _MAX_REFINEMENTS = 7
 _MAX_PANEL_NODES = 30000
+# converged integrals a kernel keeps; a kernel whose memo would pass this
+# empties it first.  A gf benchmark pass converges about 2500 distinct ones.
+_MEMO_CAP = 4096
+
+
+class _Table(NamedTuple):
+    """Test functions as columns, one row per function: time centers and
+    widths, space widths, momenta and centers (n x 3) and amplitudes."""
+
+    tau: np.ndarray
+    tau_width: np.ndarray
+    space_width: np.ndarray
+    momentum: np.ndarray
+    center: np.ndarray
+    amplitude: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "_Table":
+        return _Table(*(column[rows] for column in self))
+
+    def reflected(self) -> "_Table":
+        return self._replace(tau=-self.tau)
+
+    def conjugated(self) -> "_Table":
+        return self._replace(momentum=-self.momentum, amplitude=self.amplitude.conj())
+
+
+def _table(fns: Sequence[EuclideanTestFunction]) -> _Table:
+    rows = [(f.tau_center, f.tau_width, f.space_width, *f.momentum, *f.center) for f in fns]
+    fields = np.array(rows, dtype=float).reshape(-1, 9)
+    amplitudes = np.array([f.amplitude for f in fns], dtype=complex)
+    return _Table(*fields[:, :3].T, fields[:, 3:6], fields[:, 6:], amplitudes)
+
+
+def _stacked(*tables: _Table) -> _Table:
+    return _Table(*map(np.concatenate, zip(*tables)))
 
 
 class _Pairs(NamedTuple):
@@ -214,7 +250,8 @@ class _Pairs(NamedTuple):
     time factor's pi st_f st_g; S, w_tilde and const are the coefficients of
     its integrand's exponent const - (S/2)(p - w_r/S)^2 + i p w_i, and
     s2 = st_f^2 + st_g^2 and gap = |t_f - t_g| the arguments of the time
-    factor.
+    factor.  Every field but ``kappa`` is free of the amplitudes, and
+    together they fix the radial integral.
     """
 
     kappa: np.ndarray
@@ -229,44 +266,44 @@ class _Pairs(NamedTuple):
     def take(self, rows: np.ndarray) -> "_Pairs":
         return _Pairs(*(field[rows] for field in self))
 
+    def keys(self) -> List[bytes]:
+        """The memo key of each pair: the bytes of its row of every field
+        but ``kappa``."""
+        w = self.w_tilde
+        rows = np.column_stack(
+            [self.edges, self.counts, self.S, w.real, w.imag, self.const, self.s2, self.gap]
+        )
+        blob, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+        return [blob[start : start + width] for start in range(0, len(blob), width)]
 
-def _pairs(bras, kets) -> _Pairs:
+
+def _pairs(bras: _Table, kets: _Table) -> _Pairs:
     """Peak-centered panels with oscillation-aware node counts, and the pair
-    constants of the radial integrand, for each (bra, ket) pair."""
-
-    def fields(fns):
-        rows = [(f.tau_center, f.tau_width, f.space_width, *f.momentum, *f.center) for f in fns]
-        table = np.array(rows, dtype=float).reshape(-1, 9)
-        amplitudes = np.array([f.amplitude for f in fns], dtype=complex)
-        return (*table[:, :3].T, table[:, 3:6], table[:, 6:], amplitudes)
-
-    tb, stb, sxb, pb, cb, ab = fields(bras)
-    tk, stk, sxk, pk, ck, ak = fields(kets)
-    S = sxb**2 + sxk**2
-    vr = pb * sxb[:, None] ** 2 + pk * sxk[:, None] ** 2
+    constants of the radial integrand, for each (bra, ket) row pair."""
+    tb, stb, sxb, pb, cb, ab = bras
+    tk, stk, sxk, pk, ck, ak = kets
+    a, b = sxb**2, sxk**2
+    S = a + b
+    vr = pb * a[:, None] + pk * b[:, None]
     vi = cb - ck
+    vi_sq = (vi * vi).sum(axis=1)
     sigma_p = 1.0 / np.sqrt(S)
-    peak = np.sqrt(np.sum(vr * vr, axis=1)) / S
-    osc = np.sqrt(np.sum(vi * vi, axis=1))
-    lo = np.maximum(0.0, peak - 12.0 * sigma_p)
-    edges = np.stack(
-        [np.zeros_like(lo), lo, peak + 12.0 * sigma_p, peak + 30.0 * sigma_p], axis=1
-    )
+    peak = np.sqrt((vr * vr).sum(axis=1)) / S
+    edges = np.zeros((S.size, 4))
+    edges[:, 1] = np.maximum(0.0, peak - 12.0 * sigma_p)
+    edges[:, 2] = peak + 12.0 * sigma_p
+    edges[:, 3] = peak + 30.0 * sigma_p
     base = np.array([_BASE_POINTS // 2, _BASE_POINTS, _BASE_POINTS // 2])
-    counts = base + np.floor(osc[:, None] * np.diff(edges, axis=1) / 2.0)
-    counts[:, 0] = np.where(lo > 0.0, counts[:, 0], 0.0)
+    counts = base + np.floor(np.sqrt(vi_sq)[:, None] * (edges[:, 1:] - edges[:, :-1]) / 2.0)
+    counts[edges[:, 1] == 0.0, 0] = 0.0
     v = vr + 1j * vi
-    w_tilde = np.sqrt(np.sum(v * v, axis=1))
+    w_tilde = np.sqrt((v * v).sum(axis=1))
     # the constant of the completed square, -(a |p_b|^2 + b |p_k|^2)/2 +
     # w_r^2/(2S) with a = sx_b^2 and b = sx_k^2, with its large terms
     # cancelled in closed form; it is <= 0, as w_i^2 <= |v_i|^2
     dp = pb - pk
-    const = (
-        w_tilde.imag**2
-        - sxb**2 * sxk**2 * np.sum(dp * dp, axis=1)
-        - np.sum(vi * vi, axis=1)
-    ) / (2.0 * S)
-    phase = np.sum(pk * ck, axis=1) - np.sum(pb * cb, axis=1)
+    const = (w_tilde.imag**2 - a * b * (dp * dp).sum(axis=1) - vi_sq) / (2.0 * S)
+    phase = (pk * ck).sum(axis=1) - (pb * cb).sum(axis=1)
     kappa = np.conj(ab) * ak * (sxb * sxk) ** 3 * np.exp(1j * phase)
     kappa *= 4.0 * math.pi**2 * stb * stk
     s2 = stb**2 + stk**2
@@ -274,7 +311,14 @@ def _pairs(bras, kets) -> _Pairs:
 
 
 class CovarianceKernel:
-    """Free two-point covariance of mass ``mass`` with adaptive quadrature."""
+    """Free two-point covariance of mass ``mass`` with adaptive quadrature.
+
+    A kernel keeps the radial integral of every pair it has converged,
+    keyed by the pair's amplitude-free constants (``_Pairs.keys``), so a
+    pair it meets again costs no quadrature.  The memo holds at most
+    _MEMO_CAP integrals, and it is emptied whenever the mass or a quadrature
+    setting differs from the ones its integrals were computed under.
+    """
 
     def __init__(self, mass: float) -> None:
         if not (mass > 0 and math.isfinite(mass)):
@@ -283,12 +327,25 @@ class CovarianceKernel:
         if not (math.isfinite(mass * mass) and mass * mass >= sys.float_info.min):
             raise DomainError(f"mass {mass} MeV: its square is not a finite normal float")
         self.mass = float(mass)
+        self._settings: tuple = ()
+        self._integrals: dict = {}
+
+    def _memo(self) -> dict:
+        """The integrals converged under the current settings."""
+        settings = (self.mass, _BASE_POINTS, _TOL, _MAX_REFINEMENTS, _MAX_PANEL_NODES)
+        if settings != self._settings:
+            self._settings, self._integrals = settings, {}
+        return self._integrals
 
     # -- time factor -------------------------------------------------------
     @staticmethod
-    def _time_factor(omega: np.ndarray, s2: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    def _time_factor(
+        omega: np.ndarray, s2: np.ndarray, gap: np.ndarray, sizes: np.ndarray
+    ) -> np.ndarray:
         """T = 2 int e^{-omega|u|} N(u; gap, s2) du per node: the double time
-        integral against e^{-omega|t-t'|}, over pi st_f st_g.
+        integral against e^{-omega|t-t'|}, over pi st_f st_g.  ``s2`` and
+        ``gap`` are given per pair, and pair i owns the next ``sizes[i]``
+        entries of ``omega``.
 
         With z-+ = (omega s2 -+ gap)/sqrt(2 s2), so that z+ >= 0,
         T = e^{-gap^2/(2 s2)} [erfcx(z+) +- erfcx(|z-|)] + 2 [z- < 0] e^{E},
@@ -300,22 +357,25 @@ class CovarianceKernel:
         # 0.25 s of every process start
         from scipy.special import erfcx
 
-        root = np.sqrt(2.0 * s2)
-        z_minus = (omega * s2 - gap) / root
+        root = np.repeat(np.sqrt(2.0 * s2), sizes)
+        damping = np.repeat(np.exp(-gap * gap / (2.0 * s2)), sizes)
+        s2, gap = np.repeat(s2, sizes), np.repeat(gap, sizes)
+        omega_s2 = omega * s2
+        z_minus = (omega_s2 - gap) / root
         below = z_minus < 0.0
-        tails = erfcx((omega * s2 + gap) / root)
+        tails = erfcx((omega_s2 + gap) / root)
         tails += np.where(below, -1.0, 1.0) * erfcx(np.abs(z_minus))
-        folded = np.exp(np.minimum(omega * (0.5 * omega * s2 - gap), 0.0))
-        return np.exp(-gap * gap / (2.0 * s2)) * tails + 2.0 * below * folded
+        folded = np.exp(np.minimum(omega * (0.5 * omega_s2 - gap), 0.0))
+        return damping * tails + 2.0 * below * folded
 
     # -- radial integrand ---------------------------------------------------
     def _sesqui_at_resolution(
-        self, pairs: _Pairs, factor: float
+        self, pairs: _Pairs, factors: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(integral, integral of the magnitude) of every pair, with
-        ``factor`` times the base node counts; the nodes of all pairs are
-        evaluated as one array."""
-        counts = pairs.counts * factor
+        ``factors[i]`` times the base node counts for pair i; the nodes of
+        all pairs are evaluated as one array."""
+        counts = pairs.counts * factors[:, None]
         widest = float(np.max(counts))
         if widest > _MAX_PANEL_NODES:
             raise AccuracyError(
@@ -332,7 +392,7 @@ class CovarianceKernel:
             return np.repeat(constant, sizes)
 
         omega = np.sqrt(p * p + self.mass * self.mass)
-        time = self._time_factor(omega, per_node(pairs.s2), per_node(pairs.gap))
+        time = self._time_factor(omega, pairs.s2, pairs.gap, sizes)
         radial = wp * p / (4.0 * omega) * time
         # 2p w e^gauss sinh(pw)/(pw) = g (-e cos(phi) + i (2 + e) sin(phi)) for
         # gauss + pw = const - (S/2)(p - w_r/S)^2 + i phi, with g = e^{Re},
@@ -340,10 +400,10 @@ class CovarianceKernel:
         w = pairs.w_tilde
         g = np.exp(
             per_node(pairs.const)
-            - 0.5 * per_node(pairs.S) * (p - per_node(w.real / pairs.S)) ** 2
+            - per_node(0.5 * pairs.S) * (p - per_node(w.real / pairs.S)) ** 2
         )
         g *= radial
-        e = np.expm1(-2.0 * p * per_node(w.real))
+        e = np.expm1(p * per_node(-2.0 * w.real))
         phi = p * per_node(w.imag)
         re = -g * e * np.cos(phi)
         im = g * (2.0 + e) * np.sin(phi)
@@ -355,40 +415,64 @@ class CovarianceKernel:
         integral = (np.add.reduceat(re, starts) + 1j * np.add.reduceat(im, starts)) / scale
         return integral, np.add.reduceat(np.hypot(re, im), starts) / np.abs(scale)
 
-    def _sesqui(
-        self,
-        bras: Sequence[EuclideanTestFunction],
-        kets: Sequence[EuclideanTestFunction],
-    ) -> np.ndarray:
-        """<bra, C ket> for each pair of ``bras`` and ``kets``, with the bra's
-        Fourier data conjugated.
-
-        Each pass evaluates every open pair at once; a pair closes when two
-        successive resolutions agree to _TOL, and only the others go on to
-        the next doubling.
-        """
-        pairs = _pairs(bras, kets)
-        values = np.zeros(pairs.kappa.size, dtype=complex)
-        rows = np.flatnonzero(pairs.kappa != 0)
-        if rows.size == 0:
-            return values
-        previous, _ = self._sesqui_at_resolution(pairs.take(rows), 1.0)
-        for level in range(1, _MAX_REFINEMENTS + 1):
-            current, magnitude = self._sesqui_at_resolution(
-                pairs.take(rows), 2.0**level
-            )
+    def _converged(self, pairs: _Pairs) -> np.ndarray:
+        """The radial integral of every pair, to _TOL: the first pass
+        evaluates every pair at the base and the doubled resolution at once;
+        a pair closes when two successive resolutions agree, and only the
+        others go on to the next doubling."""
+        size = pairs.kappa.size
+        rows = np.arange(size)
+        integrals = np.empty(size, dtype=complex)
+        both, magnitude = self._sesqui_at_resolution(
+            pairs.take(np.tile(rows, 2)), np.repeat([1.0, 2.0], size)
+        )
+        previous, current, magnitude = both[:size], both[size:], magnitude[size:]
+        level = 1
+        while True:
             gap = np.abs(current - previous)
             # the magnitude term is the roundoff floor of a cancelling sum
             done = gap <= _TOL * np.abs(current) + 1e-13 * magnitude
-            values[rows[done]] = pairs.kappa[rows[done]] * current[done]
+            integrals[rows[done]] = current[done]
             rows, previous = rows[~done], current[~done]
             if rows.size == 0:
-                return values
+                return integrals
+            if level == _MAX_REFINEMENTS:
+                break
+            level += 1
+            current, magnitude = self._sesqui_at_resolution(
+                pairs.take(rows), np.full(rows.size, 2.0**level)
+            )
         change = gap[~done] / np.maximum(np.abs(previous), 1e-300)
         raise AccuracyError(
             f"covariance quadrature stalled at relative change "
             f"{np.max(change):.3e} (target {_TOL:.1e})"
         )
+
+    def _sesqui(self, bras: _Table, kets: _Table) -> np.ndarray:
+        """<bra, C ket> for each row pair of ``bras`` and ``kets``, with the
+        bra's Fourier data conjugated: kappa times the radial integral.
+
+        Each distinct integral that the memo does not hold goes to
+        quadrature once, all of them in one ``_converged`` batch; the memo
+        then keeps them.
+        """
+        pairs = _pairs(bras, kets)
+        values = np.zeros(pairs.kappa.size, dtype=complex)
+        rows = np.flatnonzero(pairs.kappa != 0)
+        pairs = pairs.take(rows)
+        keys = pairs.keys()
+        memo = self._memo()
+        integrals = {key: memo[key] for key in keys if key in memo}
+        todo = {key: row for row, key in enumerate(keys) if key not in integrals}
+        if todo:
+            converged = self._converged(pairs.take(np.fromiter(todo.values(), int, len(todo))))
+            new = dict(zip(todo, converged.tolist()))
+            if len(memo) + len(new) > _MEMO_CAP:
+                memo.clear()
+            memo.update(itertools.islice(new.items(), _MEMO_CAP))
+            integrals.update(new)
+        values[rows] = pairs.kappa * np.array([integrals[key] for key in keys], dtype=complex)
+        return values
 
 
 def covariance(
@@ -405,7 +489,7 @@ def covariance(
                 "covariance needs real-profile test functions; "
                 "one_particle_inner handles complex profiles"
             )
-    return float(kernel._sesqui([f], [g])[0].real)
+    return float(kernel._sesqui(_table([f]), _table([g]))[0].real)
 
 
 GfArgument = Union[
@@ -432,7 +516,8 @@ def _gf_values(kernel: CovarianceKernel, combinations) -> List[float]:
                     "gf_value takes real combinations of real-profile functions"
                 )
     pairs = [(fi, fj) for terms in combinations for _, fi in terms for _, fj in terms]
-    values = iter(kernel._sesqui(*zip(*pairs)).real)
+    bras, kets = zip(*pairs)
+    values = iter(kernel._sesqui(_table(bras), _table(kets)).real)
     results = []
     for terms in combinations:
         quad = 0.0
@@ -462,7 +547,8 @@ def _pair_terms(
 ) -> List[np.ndarray]:
     """Terms conj(b_j) c_k Z[g_k - R conj(f_j)] of the inner product of each
     (B, C) of ``products``; the pairs of all products and the
-    self-covariances cov(f, f) of their functions go through one batch.
+    self-covariances cov(f, f) of their functions go through one batch, on
+    one table of every function of every product.
 
     R is the time reflection Theta when ``reflect`` (every function must
     then be positive-time) and the identity otherwise.  ``hermitian`` (for
@@ -473,24 +559,29 @@ def _pair_terms(
     functions = [(B.functions, C.functions) for B, C in products]
     if reflect:
         _require_positive_time([fn for fs, gs in functions for fn in fs + gs])
-    index, bras, kets = [], [], []
+    table = _table([fn for fs, gs in functions for fn in fs + gs])
+    index, start = [], 0
     for fs, gs in functions:
         every = np.ones((len(fs), len(gs)), dtype=bool)
         js, ks = np.nonzero(np.triu(every) if hermitian else every)
-        index.append((js, ks))
-        sides = [f.reflected() for f in fs] if reflect else fs
-        bras += [sides[j] for j in js]
-        kets += [gs[k] for k in ks]
-    selves = list(dict.fromkeys(fn for fs, gs in functions for fn in fs + gs))
-    values = kernel._sesqui(bras + [f.conjugated() for f in selves], kets + selves)
-    self_cov = dict(zip(selves, values[len(bras) :]))
-    results, start = [], 0
-    for (B, C), (fs, gs), (js, ks) in zip(products, functions, index):
-        exponent = values[start : start + js.size] - 0.5 * (
-            np.array([self_cov[gs[k]] for k in ks])
-            + np.conj(np.array([self_cov[fs[j]] for j in js]))
+        # the rows of f_j and g_k in the table
+        index.append((js, ks, start + js, start + len(fs) + ks))
+        start += len(fs) + len(gs)
+    # the bras are R f_j, rows 0..start of the sides, and for the
+    # self-covariances conj(f), rows start..2 start
+    sides = _stacked(table.reflected() if reflect else table, table.conjugated())
+    every_row = np.arange(start)
+    values = kernel._sesqui(
+        sides.take(np.concatenate([bra for _, _, bra, _ in index] + [start + every_row])),
+        table.take(np.concatenate([ket for _, _, _, ket in index] + [every_row])),
+    )
+    self_cov = values[values.size - start :]
+    results, offset = [], 0
+    for (B, C), (fs, gs), (js, ks, bra, ket) in zip(products, functions, index):
+        exponent = values[offset : offset + js.size] - 0.5 * (
+            self_cov[ket] + np.conj(self_cov[bra])
         )
-        start += js.size
+        offset += js.size
         over = np.flatnonzero(exponent.real > _LOG_FLOAT_MAX)
         if over.size:
             i = over[0]
@@ -545,7 +636,8 @@ def time_translate(B: WaveFunctional, beta: float) -> WaveFunctional:
 def _one_particle_inners(kernel, pairs) -> List[complex]:
     """<f|g> of each (f, g) of ``pairs``, as one batch."""
     _require_positive_time([fn for pair in pairs for fn in pair])
-    values = kernel._sesqui([f.reflected() for f, _ in pairs], [g for _, g in pairs])
+    bras, kets = zip(*pairs)
+    values = kernel._sesqui(_table(bras).reflected(), _table(kets))
     return [complex(value) for value in values]
 
 
@@ -835,8 +927,9 @@ def random_test_functions(
         scales.append(rng.uniform(0.5, 1.0) * phase)
     # no draw depends on a norm, so the norms and the self-covariances come
     # after the draws, in one batch
+    table = _table(raws)
     values = kernel._sesqui(
-        [raw.reflected() for raw in raws] + [raw.conjugated() for raw in raws], raws + raws
+        _stacked(table.reflected(), table.conjugated()), _stacked(table, table)
     )
     functions = []
     for raw, scale, norm, cov in zip(raws, scales, values[:count].real, values[count:]):

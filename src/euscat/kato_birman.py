@@ -234,6 +234,9 @@ def make_packet(
     """
     if not (k0 > 0 and math.isfinite(k0)):
         raise DomainError(f"k0 must be positive and finite, got {k0}")
+    # the profile and its closed-form norm square k0
+    if not math.isfinite(k0 * k0):
+        raise DomainError(f"k0 {k0} MeV: its square is not finite")
     if not (sigma > 0 and math.isfinite(sigma)):
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
     if sigma > k0 / 4.0:
@@ -246,8 +249,9 @@ def make_packet(
             f"grid k_max={grid.k_max} does not cover the packet; "
             f"need k_max >= {k0 + 8.0 * sigma}"
         )
-    # an underflowing sigma^2 gives 0/0 at a node at k0; the norm check refuses it
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an underflowing sigma^2 gives 0/0 at a node at k0, and nodes near the
+    # float limit overflow their squares; the norm check refuses both
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         profile = np.exp(-((grid.nodes - k0) ** 2) / (4.0 * sigma * sigma))
         norm_sq = float(np.sum(grid.weights * grid.nodes**2 * profile**2))
     norm = math.sqrt(norm_sq)
@@ -260,7 +264,7 @@ def make_packet(
         raise PreconditionError(
             f"packet at k0={k0} with sigma={sigma} has norm {norm} on the grid, and its "
             f"square misses the closed-form integral by {miss:.3g} relative: the grid "
-            "does not resolve the profile, or its width underflows"
+            "does not resolve the profile, or its scale leaves the float range"
         )
     return WavePacket(
         center=float(k0),

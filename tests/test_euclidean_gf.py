@@ -58,6 +58,11 @@ def real_lump(tau=0.012, st=0.0015, sx=0.002, amp=1.0):
     return EuclideanTestFunction(tau, st, sx, amplitude=amp)
 
 
+def sesqui(kernel, bras, kets):
+    """<bra, C ket> of each (bra, ket) pair, through the kernel's batch core."""
+    return kernel._sesqui(euclidean_gf._table(bras), euclidean_gf._table(kets))
+
+
 def log_time_factor_by_quad(omega, s2, gap):
     """ln T, T = 2 int e^{-omega|u|} N(u; gap, s2) du, by adaptive quadrature
     instead of the closed form: the integrand over its peak value, split at
@@ -311,11 +316,17 @@ class TestCovariance:
             covariance(KERNEL, boosted, boosted)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
+        # KERNEL's memo holds this pair at the default settings, and then at
+        # 16 base points with the default tolerance, under the key the
+        # stricter settings look up; it must not answer for them
+        f, g = real_lump(), real_lump(sx=0.0025)
+        covariance(KERNEL, f, g)
         monkeypatch.setattr(euclidean_gf, "_BASE_POINTS", 16)
+        covariance(KERNEL, f, g)
         monkeypatch.setattr(euclidean_gf, "_TOL", 1e-16)
         monkeypatch.setattr(euclidean_gf, "_MAX_REFINEMENTS", 1)
         with pytest.raises(AccuracyError):
-            covariance(KERNEL, real_lump(), real_lump(sx=0.0025))
+            covariance(KERNEL, f, g)
 
 
 class TestTimeFactor:
@@ -331,7 +342,7 @@ class TestTimeFactor:
         if reference < -700.0:
             return  # T is near or below the smallest normal float
         (value,) = CovarianceKernel._time_factor(
-            np.array([omega]), np.array([s2]), np.array([gap])
+            np.array([omega]), np.array([s2]), np.array([gap]), np.array([1])
         )
         assert abs(math.log(value) - reference) <= 1e-12
 
@@ -427,25 +438,27 @@ class TestBatchCore:
 
     @staticmethod
     def record_passes(monkeypatch):
-        """Patch the pass to record (pair count, node count, factor) per call."""
+        """Patch the pass to record (pair count, node count, factors) per
+        call."""
         passes = []
         original = CovarianceKernel._sesqui_at_resolution
 
-        def recording(self, pairs, factor):
-            nodes = int(np.sum((pairs.counts * factor).astype(int)))
-            passes.append((pairs.kappa.size, nodes, factor))
-            return original(self, pairs, factor)
+        def recording(self, pairs, factors):
+            nodes = int(np.sum((pairs.counts * factors[:, None]).astype(int)))
+            passes.append((pairs.kappa.size, nodes, factors.tolist()))
+            return original(self, pairs, factors)
 
         monkeypatch.setattr(CovarianceKernel, "_sesqui_at_resolution", recording)
         return passes
 
     def test_pair_in_a_mixed_batch_equals_the_pair_alone(self):
+        # a fresh kernel for every evaluation, so that no value is a memo hit
         bras, kets = self.mixed_pairs()
-        batch = KERNEL._sesqui(bras, kets)
+        batch = sesqui(CovarianceKernel(MASS), bras, kets)
         assert batch[4] == 0
         for i, (bra, ket) in enumerate(zip(bras, kets)):
-            (alone,) = KERNEL._sesqui([bra], [ket])
-            assert abs(batch[i] - alone) <= 1e-15 * abs(alone)
+            (alone,) = sesqui(CovarianceKernel(MASS), [bra], [ket])
+            assert batch[i] == alone
 
     def test_only_failing_pairs_go_on_to_the_next_pass(self, monkeypatch):
         monkeypatch.setattr(euclidean_gf, "_BASE_POINTS", 16)
@@ -454,23 +467,74 @@ class TestBatchCore:
         needed = []
         for bra, ket in zip(bras, kets):
             passes.clear()
-            KERNEL._sesqui([bra], [ket])
+            sesqui(CovarianceKernel(MASS), [bra], [ket])
             needed.append(len(passes))
         passes.clear()
-        KERNEL._sesqui(bras, kets)
+        sesqui(CovarianceKernel(MASS), bras, kets)
         # the zero-amplitude pair needs no pass; every other one stays in
-        # the batch exactly until it has converged on its own schedule
+        # the batch exactly until it has converged on its own schedule.  The
+        # first pass carries each open pair twice, at factors 1 and 2, and
+        # pass i > 0 the pairs still open at factor 2^(i+1)
         assert needed[4] == 0 and max(needed) > min(n for n in needed if n)
         expected = [sum(n > level for n in needed) for level in range(max(needed))]
-        assert [size for size, _, _ in passes] == expected
+        assert [size for size, _, _ in passes] == [2 * expected[0]] + expected[1:]
+        assert passes[0][2] == [1.0] * expected[0] + [2.0] * expected[0]
+        for level, (size, _, factors) in enumerate(passes[1:], start=2):
+            assert factors == [2.0**level] * size
 
     def test_gram_node_count_is_pinned(self, monkeypatch):
-        # 40 base points per peak panel: two passes, the second at 80
-        fns = random_test_functions(KERNEL, np.random.default_rng(2024), 8)
+        # 40 base points per peak panel: one pass at factors 1 and 2, of the
+        # 28 off-diagonal pairs alone; the diagonal and the self-covariances
+        # are the draws' norms and self-covariances, which the memo holds
+        kernel = CovarianceKernel(MASS)
+        fns = random_test_functions(kernel, np.random.default_rng(2024), 8)
         passes = self.record_passes(monkeypatch)
-        physical_gram(KERNEL, fns)
-        assert [factor for _, _, factor in passes] == [1.0, 2.0]
-        assert sum(nodes for _, nodes, _ in passes) == 8148
+        physical_gram(kernel, fns)
+        assert [factors for _, _, factors in passes] == [[1.0] * 28 + [2.0] * 28]
+        assert sum(nodes for _, nodes, _ in passes) == 5268
+
+
+class TestIntegralMemo:
+    """A kernel keeps each converged radial integral under the bytes of its
+    pair's amplitude-free constants (edges, counts, S, w_tilde, const, s2
+    and gap), emptied when a setting changes or when it would pass
+    _MEMO_CAP; a value is always kappa times the integral."""
+
+    def test_a_memo_hit_returns_the_bits_of_a_fresh_kernel(self, monkeypatch):
+        fns = random_test_functions(KERNEL, np.random.default_rng(3), 3)
+        bras = [fns[0].reflected(), fns[1].conjugated()]
+        kets = [fns[2], fns[1]]
+        kernel = CovarianceKernel(MASS)
+        sesqui(kernel, bras, kets)
+        # other amplitudes, the same constants: both are hits
+        bras = [bras[0].scaled(2.5 - 1.0j), bras[1]]
+        kets = [kets[0], kets[1].scaled(-0.3j)]
+        passes = TestBatchCore.record_passes(monkeypatch)
+        hits = sesqui(kernel, bras, kets)
+        assert not passes
+        fresh = sesqui(CovarianceKernel(MASS), bras, kets)
+        assert np.array_equal(hits, fresh)
+
+    @pytest.mark.parametrize("size", [2, 5, 8])
+    def test_gram_after_the_draws_sends_only_off_diagonal_pairs(self, monkeypatch, size):
+        kernel = CovarianceKernel(MASS)
+        fns = random_test_functions(kernel, np.random.default_rng(size), size)
+        passes = TestBatchCore.record_passes(monkeypatch)
+        gram = physical_gram(kernel, fns)
+        # the first pass carries every pair that goes to quadrature, twice
+        assert passes[0][0] == 2 * (size * (size - 1) // 2)
+        monkeypatch.undo()
+        fresh = CovarianceKernel(MASS)
+        assert np.array_equal(gram, physical_gram(fresh, fns))
+
+    def test_the_memo_never_passes_its_cap(self, monkeypatch):
+        monkeypatch.setattr(euclidean_gf, "_MEMO_CAP", 10)
+        kernel = CovarianceKernel(MASS)
+        fns = random_test_functions(kernel, np.random.default_rng(2024), 8)
+        gram = physical_gram(kernel, fns)
+        assert 0 < len(kernel._integrals) <= 10
+        monkeypatch.undo()
+        assert np.array_equal(gram, physical_gram(CovarianceKernel(MASS), fns))
 
 
 class TestRadialIntegrand:
@@ -506,7 +570,7 @@ class TestRadialIntegrand:
             ket = EuclideanTestFunction(0.030, 0.0035, 0.5, amplitude=1.1)
         else:
             bra, ket = real_lump(), real_lump(tau=0.02, st=0.002, sx=0.003)
-        value = KERNEL._sesqui([bra], [ket])[0]
+        value = sesqui(KERNEL, [bra], [ket])[0]
         assert np.isfinite(value) and value != 0.0
         reference = sesqui_by_mpmath(bra, ket)
         assert abs(value - reference) <= 1e-12 * abs(reference)
@@ -514,7 +578,7 @@ class TestRadialIntegrand:
     def test_pair_whose_exponent_cancels_1e6_matches_mpmath(self):
         # sx^2 |p|^2 / 2 = 9.8e5 on each side, nearly all cancelled by p w_r
         probe = standard_test_function(1400.0)
-        value = KERNEL._sesqui([probe.reflected()], [probe])[0]
+        value = sesqui(KERNEL, [probe.reflected()], [probe])[0]
         reference = sesqui_by_mpmath(probe.reflected(), probe)
         assert abs(value - reference) <= 1e-12 * abs(reference)
 
@@ -531,7 +595,7 @@ class TestInnerProducts:
     def test_euclidean_gram_positive(self):
         rng = np.random.default_rng(7)
         fns = [
-            f.scaled(1.0 / math.sqrt(KERNEL._sesqui([f], [f])[0].real))
+            f.scaled(1.0 / math.sqrt(sesqui(KERNEL, [f], [f])[0].real))
             for f in random_test_functions(KERNEL, rng, 6)
         ]
         gram = euclidean_gram(KERNEL, fns)

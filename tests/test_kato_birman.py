@@ -112,6 +112,16 @@ class TestWavePacket:
         with pytest.raises(PreconditionError, match="norm 0"):
             make_packet(1000.0, 1e-6, coarse)
 
+    def test_center_whose_square_overflows_is_refused(self):
+        # both raised numpy's overflow RuntimeWarning from the profile
+        grid = build_grid(GridSpec(panels=[(0.0, 1e300, 60)]))
+        with pytest.raises(DomainError, match="square is not finite"):
+            make_packet(1e200, 1e199, grid)
+        # k0^2 is finite, the squares of the upper nodes are not
+        grid = build_grid(GridSpec(panels=[(0.0, 4e154, 60)]))
+        with pytest.raises(PreconditionError, match="norm nan"):
+            make_packet(1e154, 1e153, grid)
+
     @pytest.mark.parametrize("sigma", [1e-6, 10.0])
     def test_packet_the_grid_cannot_resolve_is_refused(self, sigma):
         # about 18 MeV between the nodes at k0: at sigma = 1e-6 the packet is
