@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +55,8 @@ class ChebyshevExpansion:
 
 class _SeriesBlock(NamedTuple):
     """Expansions on one domain side by side: column m of ``coefficients``
-    holds the m-th series, zero-padded to the largest degree."""
+    holds the m-th series, zero-padded to the largest degree; Clenshaw never
+    steps a column over the padding above its own degree."""
 
     degree: int
     coefficients: np.ndarray
@@ -150,8 +152,13 @@ def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) ->
     coordinates ``sg.apply`` takes: eigen-coordinates for a ``Semigroup``.
     The semigroup spectrum must lie inside the expansion domain.  A block of
     series (``_stacked``) has one coefficient per column of an N x m block
-    v in each row, so column m gets series m; zero orders above a series'
-    degree leave its column as its own pass would, bit for bit.
+    v in each row, so column m gets series m, and each column joins the
+    recurrence at its own degree: the step of order j applies the semigroup
+    to the columns from the first one with a nonzero coefficient at j or
+    above, so series of ascending degrees cost sum_m (degree_m + 1)
+    column-applications.  A column that has not joined holds exact zeros,
+    as steps over its zero orders would leave it, so it ends as its own pass
+    would, bit for bit.
     """
     a, b = exp.domain
     lo, hi = sg.bounds()
@@ -161,29 +168,36 @@ def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) ->
             f"semigroup spectrum [{lo:.12g}, {hi:.12g}] is not contained in the "
             f"expansion domain [{a:.12g}, {b:.12g}]"
         )
-    vec = np.asarray(v, dtype=complex)
+    vec = np.asarray(v, dtype=complex, order="F")
     scale = 2.0 / (b - a)
     shift = (a + b) / (b - a)
-    c = exp.coefficients
-    b1 = np.zeros_like(vec)
-    b2 = np.zeros_like(vec)
-    scratch = np.empty_like(vec)
-
-    def step(factor: float, coefficient: complex) -> np.ndarray:
-        # coefficient vec + factor (scale A b1 - shift b1) - b2, evaluated in
-        # place on the fresh block A b1 with the same roundings as that
-        # expression: factor is 2 or 1, and numpy's complex product rounds
-        # differently once its operands swap
-        out = sg.apply(b1)
-        out *= factor * scale
-        out -= np.multiply(b1, factor * shift, out=scratch)
-        out += np.multiply(coefficient, vec, out=scratch)
-        out -= b2
-        return out
-
-    for j in range(exp.degree, 0, -1):
-        b1, b2 = step(2.0, c[j]), b1
-    return step(1.0, 0.5 * c[0])
+    c = exp.coefficients.reshape(exp.degree + 1, -1).copy()  # one column per series
+    c[0] *= 0.5
+    # starts[j]: the first column with a nonzero coefficient at order j or above
+    starts = np.argmax(np.logical_or.accumulate(c[::-1] != 0, axis=0)[::-1], axis=1).tolist()
+    # a ring of three blocks holds b1, b2 and the next b1; every block keeps
+    # its columns contiguous, as a one-column pass does
+    b1, b2, fresh = (np.zeros_like(vec) for _ in range(3))
+    scratch = np.empty_like(b1)
+    for first, orders in groupby(range(exp.degree, -1, -1), key=starts.__getitem__):
+        # a run of orders steps the same columns, through views of each block
+        cols = np.s_[..., first:]
+        coefficients, source, spare = c[:, first:], vec[cols], scratch[cols]
+        v1, v2, vf = b1[cols], b2[cols], fresh[cols]
+        for j in orders:
+            factor = 2.0 if j else 1.0
+            # c_j vec + factor (scale A b1 - shift b1) - b2, evaluated in place
+            # on the block A b1 with the same roundings as that expression:
+            # factor is 2 or 1, and numpy's complex product rounds differently
+            # once its operands swap
+            out = sg.apply(v1, out=vf)
+            out *= factor * scale
+            out -= np.multiply(v1, factor * shift, out=spare)
+            out += np.multiply(coefficients[j], source, out=spare)
+            out -= v2
+            v1, v2, vf = vf, v1, v2
+            b1, b2, fresh = fresh, b1, b2
+    return b1
 
 
 def uniform_error_report(

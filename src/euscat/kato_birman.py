@@ -28,9 +28,10 @@ with p(lambda_i), and as U is orthogonal
 (c alone when u' = u, as for identical real packets).  Clenshaw on a block of
 ones gives the values p(lambda_i), each semigroup application being an
 elementwise product with e^{-beta E}; the series of every n of a sweep share
-that one pass, one column each, so a sweep costs the degree + 1 applications
-of its largest n.  The exact propagator of the tests shares every other step
-and takes e^{in lambda_i} in place of p(lambda_i).  A per-factor uniform
+that one pass, one column each, and each column joins it at its own degree,
+so a sweep takes the degree + 1 steps of its largest n and pays each n its
+own degree + 1 column-applications.  The exact propagator of the tests
+shares every other step and takes e^{in lambda_i} in place of p(lambda_i).  A per-factor uniform
 error of 5e-13 bounds the overlap's by sup|p^2 - e^{2inx}| <= tol (2 + tol)
 < 1e-12.
 
@@ -46,6 +47,7 @@ energy-shell weight for which the quotient reproduces t for narrow packets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -249,18 +251,25 @@ def make_packet(
             f"grid k_max={grid.k_max} does not cover the packet; "
             f"need k_max >= {k0 + 8.0 * sigma}"
         )
+    # the squared norm and its closed form scale as k0^3, which overflows
+    # from k0 about 1e103: both are taken in units u^3 of u = 4^q near k0, an
+    # exact scaling whose root is 2^{3q}
+    q = math.frexp(k0)[1] // 2
+    u = math.ldexp(1.0, 2 * q)
     # an underflowing sigma^2 gives 0/0 at a node at k0, and nodes near the
     # float limit overflow their squares; the norm check refuses both
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         profile = np.exp(-((grid.nodes - k0) ** 2) / (4.0 * sigma * sigma))
-        norm_sq = float(np.sum(grid.weights * grid.nodes**2 * profile**2))
-    norm = math.sqrt(norm_sq)
+        norm_sq = float(np.sum(grid.weights / u * (grid.nodes / u) ** 2 * profile**2))
+    norm = math.sqrt(norm_sq) * math.ldexp(1.0, 3 * q)
     # int_0^inf k^2 profile^2 dk in closed form (r * r: a power would overflow)
     r = k0 / sigma
+    k, s = k0 / u, sigma / u
     gauss = math.sqrt(0.5 * math.pi) * (1.0 + math.erf(r / math.sqrt(2.0)))
-    exact = sigma * ((k0 * k0 + sigma * sigma) * gauss + sigma * k0 * math.exp(-0.5 * r * r))
+    exact = s * ((k * k + s * s) * gauss + s * k * math.exp(-0.5 * r * r))
     miss = abs(norm_sq - exact) / exact if exact > 0.0 else math.inf
-    if not miss <= _PACKET_NORM_TOL:
+    # a norm below the normal range would overflow the normalised profile
+    if not (miss <= _PACKET_NORM_TOL and sys.float_info.min <= norm < math.inf):
         raise PreconditionError(
             f"packet at k0={k0} with sigma={sigma} has norm {norm} on the grid, and its "
             f"square misses the closed-form integral by {miss:.3g} relative: the grid "
@@ -494,8 +503,10 @@ def sweep_n(
     is what shrinks when sigma does).  Every n must be an integer >= 1.
     Beta does not depend on n, so one eigendecomposition and one ``Semigroup``
     serve the sweep, and the half-phase series of every n run as the columns
-    of one Clenshaw pass: degree + 1 applications of the largest n's series
-    in all.  Each row equals ``kb_s_overlap`` at its n bit for bit.
+    of one Clenshaw pass of the degree + 1 steps of the largest n's series,
+    each column joining at its own degree: sum_n (degree_n + 1)
+    column-applications.  Each row equals ``kb_s_overlap`` at its n bit for
+    bit.
     """
     if len(n_values) == 0:
         raise ConfigError("n_values must not be empty")

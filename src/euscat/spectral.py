@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -585,11 +585,12 @@ class Semigroup:
         images.setflags(write=False)
         object.__setattr__(self, "images", images)
 
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        """e^{-beta H} on eigen-coordinates: a fresh array images * c for a
-        real or complex vector, or row-wise for an N x K block."""
+    def apply(self, c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """e^{-beta H} on eigen-coordinates: images * c for a real or complex
+        vector, or row-wise for an N x K block; written into ``out`` and
+        returned when given, else a fresh array."""
         c = np.asarray(c)
-        return (self.images if c.ndim == 1 else self.images[:, None]) * c
+        return np.multiply(self.images if c.ndim == 1 else self.images[:, None], c, out=out)
 
     def bounds(self) -> Tuple[float, float]:
         return semigroup_bounds(self.op, self.beta)

@@ -22,9 +22,9 @@ def apply_widths(monkeypatch):
     widths = []
     original = spectral.Semigroup.apply
 
-    def counting(self, v):
+    def counting(self, v, out=None):
         widths.append(1 if np.ndim(v) == 1 else v.shape[1])
-        return original(self, v)
+        return original(self, v, out=out)
 
     monkeypatch.setattr(spectral.Semigroup, "apply", counting)
     return widths

@@ -15,6 +15,7 @@ from scipy import fft, special
 
 from euscat import chebyshev
 from euscat.chebyshev import (
+    _stacked,
     apply_to_semigroup,
     converged_expansion,
     evaluate_scalar,
@@ -194,9 +195,9 @@ class _CountingSemigroup:
         self.inner = inner
         self.calls = 0
 
-    def apply(self, v):
+    def apply(self, v, out=None):
         self.calls += 1
-        return self.inner.apply(v)
+        return self.inner.apply(v, out=out)
 
     def bounds(self):
         return self.inner.bounds()
@@ -280,6 +281,19 @@ class TestOperatorApplication:
         reference = 0.5 * c[0] * block + rescaled(b1) - b2
         assert np.array_equal(apply_to_semigroup(exp, semigroup, block), reference)
         assert np.array_equal(block, before)
+
+    def test_block_columns_equal_their_own_passes_bit_for_bit(self, semigroup, apply_widths):
+        # out of degree order, the series of 10 and 50 step as zeros under the
+        # degree of 300 until their own degrees, so every order takes 3 columns
+        _, hi = semigroup.bounds()
+        expansions = [converged_expansion(n, (0.0, hi), tol=5e-13) for n in (300, 10, 50)]
+        rng = np.random.default_rng(5)
+        shape = (semigroup.op.size, 3)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values = apply_to_semigroup(_stacked(expansions), semigroup, block)
+        assert apply_widths == [3] * (expansions[0].degree + 1)
+        for m, exp in enumerate(expansions):
+            assert np.array_equal(values[:, m], apply_to_semigroup(exp, semigroup, block[:, m]))
 
     def test_spectrum_outside_domain_rejected_with_bounds(self, semigroup, vector):
         exp = expansion_coefficients(220.0, 300)  # domain [0, 1] too small

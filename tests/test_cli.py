@@ -330,11 +330,25 @@ class TestKbSweep:
         assert len({(r[3], r[4]) for r in rows}) == 1
         capsys.readouterr()
 
-    def test_default_sweep_is_one_pass_of_200_applications(self, tmp_path, apply_widths, capsys):
-        # n = 10..300 in steps of 10: every n shares the pass of n = 300
+    def test_default_sweep_is_one_pass_of_200_steps_and_3484_applications(
+        self, tmp_path, apply_widths, monkeypatch, capsys
+    ):
+        # n = 10..300 in steps of 10: every n shares the 200 steps of n = 300,
+        # and the series of each n joins the pass at its own degree
+        degrees = []
+        converged = euscat.kato_birman.converged_expansion
+
+        def recording(*args, **kwargs):
+            expansion = converged(*args, **kwargs)
+            degrees.append(expansion.degree)
+            return expansion
+
+        monkeypatch.setattr(euscat.kato_birman, "converged_expansion", recording)
         assert main(["kb-sweep", "--out", str(tmp_path)]) == 0
-        assert len(apply_widths) == 200
-        assert set(apply_widths) == {30}
+        assert len(degrees) == 30
+        assert len(apply_widths) == max(degrees) + 1 == 200
+        assert apply_widths == [sum(d >= j for d in degrees) for j in range(199, -1, -1)]
+        assert sum(apply_widths) == sum(d + 1 for d in degrees) == 3484
         capsys.readouterr()
 
     def test_zero_coupling_error_is_noise(self, tmp_path, capsys):

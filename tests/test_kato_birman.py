@@ -113,14 +113,19 @@ class TestWavePacket:
             make_packet(1000.0, 1e-6, coarse)
 
     def test_center_whose_square_overflows_is_refused(self):
-        # both raised numpy's overflow RuntimeWarning from the profile
+        # it raised numpy's overflow RuntimeWarning from the profile
         grid = build_grid(GridSpec(panels=[(0.0, 1e300, 60)]))
         with pytest.raises(DomainError, match="square is not finite"):
             make_packet(1e200, 1e199, grid)
-        # k0^2 is finite, the squares of the upper nodes are not
-        grid = build_grid(GridSpec(panels=[(0.0, 4e154, 60)]))
-        with pytest.raises(PreconditionError, match="norm nan"):
-            make_packet(1e154, 1e153, grid)
+
+    @pytest.mark.parametrize("k0,top", [(1e102, 2), (1e103, 2), (1e110, 2), (1e150, 2), (1e154, 4)])
+    def test_packet_whose_squared_norm_overflows_has_unit_norm(self, k0, top):
+        # the squared norm scales as k0^3: from 1e103 on it overflowed, and the
+        # packet was refused with "norm inf", by nan; at 1e154 k0^2 is finite
+        # and the squares of the upper nodes are not ("norm nan")
+        grid = build_grid(GridSpec(panels=[(0.0, top * k0, 600)]))
+        packet = make_packet(k0, k0 / 10.0, grid)
+        assert np.sum(packet.weighted() ** 2) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("sigma", [1e-6, 10.0])
     def test_packet_the_grid_cannot_resolve_is_refused(self, sigma):
@@ -142,8 +147,8 @@ class _DenseSemigroup:
         self.op, self.beta = op, beta
         self.matrix = (op.vectors * np.exp(-beta * op.eigenvalues)) @ op.vectors.T
 
-    def apply(self, v):
-        return self.matrix @ v
+    def apply(self, v, out=None):
+        return np.matmul(self.matrix, v, out=out)
 
     def bounds(self):
         return semigroup_bounds(self.op, self.beta)
@@ -192,9 +197,9 @@ class TestKBOverlap:
         calls = []
         original = spectral.Semigroup.apply
 
-        def counting(self, v):
+        def counting(self, v, out=None):
             calls.append(1 if np.ndim(v) == 1 else v.shape[1])
-            return original(self, v)
+            return original(self, v, out=out)
 
         monkeypatch.setattr(spectral.Semigroup, "apply", counting)
         n = 250
@@ -374,11 +379,16 @@ class TestSweep:
             assert (row.n, row.re_approx, row.im_approx) == (n, kb.real, kb.imag)
 
     def test_one_clenshaw_pass_serves_every_n(self, apply_widths):
+        # the pass takes the largest degree + 1 steps, and the series of each
+        # n joins it at its own degree: the width at order j is the number of
+        # series of degree j or more
         bra = make_packet(1040.0, 90.0, GRID_1GEV)
         sweep_n(MODEL, KBConfig(beta=5e-4), [10, 50, 300], bra, PACKET_1GEV)
         _, hi = spectral.Semigroup(OP_1GEV, 5e-4).bounds()
-        assert len(apply_widths) == converged_expansion(300, (0.0, hi), 5e-13).degree + 1
-        assert set(apply_widths) == {3}
+        degrees = [converged_expansion(n, (0.0, hi), 5e-13).degree for n in (10, 50, 300)]
+        assert len(apply_widths) == degrees[-1] + 1
+        assert apply_widths == [sum(d >= j for d in degrees) for j in range(degrees[-1], -1, -1)]
+        assert sum(apply_widths) == sum(d + 1 for d in degrees)
 
     def test_floor_error_comes_before_any_application(self, apply_widths):
         with pytest.raises(AccuracyError, match="rounding floor"):
