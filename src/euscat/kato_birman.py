@@ -47,7 +47,6 @@ energy-shell weight for which the quotient reproduces t for narrow packets.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -268,8 +267,7 @@ def make_packet(
     gauss = math.sqrt(0.5 * math.pi) * (1.0 + math.erf(r / math.sqrt(2.0)))
     exact = s * ((k * k + s * s) * gauss + s * k * math.exp(-0.5 * r * r))
     miss = abs(norm_sq - exact) / exact if exact > 0.0 else math.inf
-    # a norm below the normal range would overflow the normalised profile
-    if not (miss <= _PACKET_NORM_TOL and sys.float_info.min <= norm < math.inf):
+    if not miss <= _PACKET_NORM_TOL:
         raise PreconditionError(
             f"packet at k0={k0} with sigma={sigma} has norm {norm} on the grid, and its "
             f"square misses the closed-form integral by {miss:.3g} relative: the grid "
