@@ -173,8 +173,12 @@ def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) ->
     shift = (a + b) / (b - a)
     c = exp.coefficients.reshape(exp.degree + 1, -1).copy()  # one column per series
     c[0] *= 0.5
-    # starts[j]: the first column with a nonzero coefficient at order j or above
-    starts = np.argmax(np.logical_or.accumulate(c[::-1] != 0, axis=0)[::-1], axis=1).tolist()
+    # starts[j]: the first column whose last nonzero coefficient, tops[m], is
+    # at order j or above (a zero column counts as nonzero at every order)
+    tops = (exp.degree - np.argmax(c[::-1] != 0, axis=0)).tolist()
+    starts = [0] * (exp.degree + 1)
+    for m in reversed(range(len(tops))):
+        starts[: tops[m] + 1] = [m] * (tops[m] + 1)
     # a ring of three blocks holds b1, b2 and the next b1; every block keeps
     # its columns contiguous, as a one-column pass does
     b1, b2, fresh = (np.zeros_like(vec) for _ in range(3))
