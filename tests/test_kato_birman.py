@@ -120,9 +120,9 @@ class TestWavePacket:
 
     @pytest.mark.parametrize("k0,top", [(1e102, 2), (1e103, 2), (1e110, 2), (1e150, 2), (1e154, 4)])
     def test_packet_whose_squared_norm_overflows_has_unit_norm(self, k0, top):
-        # the squared norm scales as k0^3: from 1e103 on it overflowed, and the
-        # packet was refused with "norm inf", by nan; at 1e154 k0^2 is finite
-        # and the squares of the upper nodes are not ("norm nan")
+        # the squared norm scales as k0^3: from 1e103 on it overflowed and the
+        # packet was refused ("norm inf"); at 1e154 k0^2 is finite but the
+        # squares of the upper nodes were not ("norm nan")
         grid = build_grid(GridSpec(panels=[(0.0, top * k0, 600)]))
         packet = make_packet(k0, k0 / 10.0, grid)
         assert np.sum(packet.weighted() ** 2) == pytest.approx(1.0, abs=1e-15)
