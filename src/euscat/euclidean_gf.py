@@ -31,7 +31,7 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,11 +47,10 @@ _ZERO3: Vector3 = (0.0, 0.0, 0.0)
 _CUT_SIGMAS = 6.0
 
 
-def _as_vec(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise DomainError(f"expected a 3-vector, got shape {arr.shape}")
-    return arr
+def _require_finite(name: str, value) -> None:
+    """``DomainError`` unless ``value``, a number or a tuple, is all finite."""
+    if not all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
+        raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -71,29 +70,28 @@ class EuclideanTestFunction:
     amplitude: complex = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.tau_center):
-            raise DomainError(f"tau_center must be finite, got {self.tau_center}")
-        if not (self.tau_width > 0 and math.isfinite(self.tau_width)):
-            raise DomainError(f"tau_width must be positive, got {self.tau_width}")
-        if not (self.space_width > 0 and math.isfinite(self.space_width)):
-            raise DomainError(f"space_width must be positive, got {self.space_width}")
-        momentum = tuple(map(float, self.momentum))
-        center = tuple(map(float, self.center))
-        amplitude = complex(self.amplitude)
-        object.__setattr__(self, "momentum", momentum)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "amplitude", amplitude)
-        for name, parts in (
-            ("momentum", momentum),
-            ("center", center),
-            ("amplitude", (amplitude,)),
-        ):
-            if not all(map(cmath.isfinite, parts)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if len(momentum) != 3 or len(center) != 3:
+        self.__dict__.update(
+            tau_center=float(self.tau_center), tau_width=float(self.tau_width),
+            space_width=float(self.space_width), momentum=tuple(map(float, self.momentum)),
+            center=tuple(map(float, self.center)), amplitude=complex(self.amplitude),
+        )
+        for name in ("tau_center", "momentum", "center", "amplitude"):
+            _require_finite(name, getattr(self, name))
+        if len(self.momentum) != 3 or len(self.center) != 3:
             raise DomainError(
-                f"momentum and center must be 3-vectors, got {momentum}, {center}"
+                f"momentum and center must be 3-vectors, got {self.momentum}, {self.center}"
             )
+        # _pairs forms (sx_f sx_g)^3, (sx_f sx_g)^2 and st_f^2 + st_g^2, each
+        # between its values for f and for g paired with itself
+        st, sx = self.tau_width, self.space_width
+        for name, width, constant in (
+            ("tau_width", st, st * st + st * st),
+            ("space_width", sx, (sx * sx) * (sx * sx) * (sx * sx)),
+        ):
+            if not (width > 0 and sys.float_info.min <= constant < math.inf):
+                raise DomainError(
+                    f"{name} must be positive with a finite normal pair constant, got {width}"
+                )
 
     @property
     def is_positive_time(self) -> bool:
@@ -106,7 +104,10 @@ class EuclideanTestFunction:
     def _derived(self, **changes) -> "EuclideanTestFunction":
         """A copy with ``changes`` set as given, without ``__post_init__``:
         the other fields were validated when this instance was made, and each
-        caller passes finite values of the stored types."""
+        caller passes values of the stored types.  A change that is not
+        finite raises ``DomainError``."""
+        for name, value in changes.items():
+            _require_finite(name, value)
         new = object.__new__(EuclideanTestFunction)
         new.__dict__.update(self.__dict__, **changes)
         return new
@@ -116,17 +117,18 @@ class EuclideanTestFunction:
         return self._derived(tau_center=-self.tau_center)
 
     def shifted_in_time(self, dt: float) -> "EuclideanTestFunction":
-        tau_center = self.tau_center + dt
-        if not math.isfinite(tau_center):
-            raise DomainError(f"tau_center must be finite, got {tau_center}")
-        return self._derived(tau_center=tau_center)
+        return self._derived(tau_center=self.tau_center + float(dt))
 
     def translated(self, shift) -> "EuclideanTestFunction":
         """f(x - shift): moves the center and carries the plane-wave phase."""
-        shift = _as_vec(shift)
-        c = _as_vec(self.center) + shift
-        carrier = complex(np.exp(-1j * float(np.dot(self.momentum, shift))))
-        return replace(self, center=tuple(c), amplitude=self.amplitude * carrier)
+        shift = tuple(map(float, shift))
+        if len(shift) != 3:
+            raise DomainError(f"expected a 3-vector, got {shift}")
+        center = tuple(c + s for c, s in zip(self.center, shift))
+        phase = sum(p * s for p, s in zip(self.momentum, shift))
+        # a phase past the float range leaves no carrier: nan, refused below
+        carrier = cmath.exp(complex(0.0, -phase)) if math.isfinite(phase) else math.nan
+        return self._derived(center=center, amplitude=self.amplitude * carrier)
 
     def conjugated(self) -> "EuclideanTestFunction":
         """Pointwise complex conjugate: flips momentum, conjugates amplitude."""
@@ -134,10 +136,7 @@ class EuclideanTestFunction:
         return self._derived(momentum=p, amplitude=self.amplitude.conjugate())
 
     def scaled(self, factor: complex) -> "EuclideanTestFunction":
-        amplitude = complex(self.amplitude * factor)
-        if not cmath.isfinite(amplitude):
-            raise DomainError(f"amplitude must be finite, got {amplitude}")
-        return self._derived(amplitude=amplitude)
+        return self._derived(amplitude=self.amplitude * complex(factor))
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ class WaveFunctional:
             )
         if not coeffs:
             raise PreconditionError("functional must have at least one term")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "functions", fns)
+        self.__dict__.update(coefficients=coeffs, functions=fns)
 
     def shifted_in_time(self, dt: float) -> "WaveFunctional":
         return WaveFunctional(
@@ -321,11 +319,9 @@ class CovarianceKernel:
     """
 
     def __init__(self, mass: float) -> None:
-        if not (mass > 0 and math.isfinite(mass)):
-            raise DomainError(f"mass must be positive and finite, got {mass}")
         # omega = sqrt(p^2 + m^2) and the time steps divide by m^2
-        if not (math.isfinite(mass * mass) and mass * mass >= sys.float_info.min):
-            raise DomainError(f"mass {mass} MeV: its square is not a finite normal float")
+        if not (mass > 0 and sys.float_info.min <= mass * mass < math.inf):
+            raise DomainError(f"mass must be positive with a finite normal square, got {mass}")
         self.mass = float(mass)
         self._settings: tuple = ()
         self._integrals: dict = {}
@@ -357,15 +353,18 @@ class CovarianceKernel:
         # 0.25 s of every process start
         from scipy.special import erfcx
 
-        root = np.repeat(np.sqrt(2.0 * s2), sizes)
-        damping = np.repeat(np.exp(-gap * gap / (2.0 * s2)), sizes)
-        s2, gap = np.repeat(s2, sizes), np.repeat(gap, sizes)
+        root = np.sqrt(2.0 * s2)
+        # from gap = 40 root on, the damping is e^{-1600}, 0 in floats; the
+        # clamp there keeps gap * gap finite for any gap
+        near = np.minimum(gap, 40.0 * root)
+        damping = np.repeat(np.exp(-near * near / (2.0 * s2)), sizes)
+        root, s2, gap = (np.repeat(column, sizes) for column in (root, s2, gap))
         omega_s2 = omega * s2
         z_minus = (omega_s2 - gap) / root
         below = z_minus < 0.0
         tails = erfcx((omega_s2 + gap) / root)
         tails += np.where(below, -1.0, 1.0) * erfcx(np.abs(z_minus))
-        folded = np.exp(np.minimum(omega * (0.5 * omega_s2 - gap), 0.0))
+        folded = np.exp(omega * np.minimum(0.5 * omega_s2 - gap, 0.0))
         return damping * tails + 2.0 * below * folded
 
     # -- radial integrand ---------------------------------------------------
@@ -483,12 +482,11 @@ def covariance(
     A real profile is its own conjugate, so the sesquilinear core gives it;
     complex profiles have no real bilinear value: use one_particle_inner.
     """
-    for fn in (f, g):
-        if not fn.is_real_profile:
-            raise PreconditionError(
-                "covariance needs real-profile test functions; "
-                "one_particle_inner handles complex profiles"
-            )
+    if not (f.is_real_profile and g.is_real_profile):
+        raise PreconditionError(
+            "covariance needs real-profile test functions; "
+            "one_particle_inner handles complex profiles"
+        )
     return float(kernel._sesqui(_table([f]), _table([g]))[0].real)
 
 
@@ -509,21 +507,16 @@ def _as_combination(h: GfArgument) -> List[Tuple[float, EuclideanTestFunction]]:
 def _gf_values(kernel: CovarianceKernel, combinations) -> List[float]:
     """Z[h] = exp(-cov(h,h)/2) for each real combination h of real-profile
     parts, with the term pairs of all combinations in one batch."""
-    for terms in combinations:
-        for _, fn in terms:
-            if not fn.is_real_profile:
-                raise PreconditionError(
-                    "gf_value takes real combinations of real-profile functions"
-                )
+    if not all(fn.is_real_profile for terms in combinations for _, fn in terms):
+        raise PreconditionError("gf_value takes real combinations of real-profile functions")
     pairs = [(fi, fj) for terms in combinations for _, fi in terms for _, fj in terms]
     bras, kets = zip(*pairs)
     values = iter(kernel._sesqui(_table(bras), _table(kets)).real)
     results = []
     for terms in combinations:
         quad = 0.0
-        for ci, _ in terms:
-            for cj, _ in terms:
-                quad += ci * cj * next(values)
+        for (ci, _), (cj, _) in itertools.product(terms, terms):
+            quad += ci * cj * next(values)
         results.append(math.exp(-0.5 * quad))
     return results
 
@@ -542,42 +535,46 @@ def _require_positive_time(fns: Sequence[EuclideanTestFunction]) -> None:
             )
 
 
-def _pair_terms(
-    kernel, products, reflect: bool, hermitian: bool = False
-) -> List[np.ndarray]:
+def _pair_terms(kernel, products, reflect: bool) -> List[np.ndarray]:
     """Terms conj(b_j) c_k Z[g_k - R conj(f_j)] of the inner product of each
     (B, C) of ``products``; the pairs of all products and the
     self-covariances cov(f, f) of their functions go through one batch, on
     one table of every function of every product.
 
     R is the time reflection Theta when ``reflect`` (every function must
-    then be positive-time) and the identity otherwise.  ``hermitian`` (for
-    B = C) computes only the terms with k >= j and fills the rest by
-    conjugate mirroring, with a real diagonal, so the result is exactly
+    then be positive-time) and the identity otherwise.  A product of a
+    functional with itself (``C is B``) puts its functions into the table
+    once and computes only the terms with k >= j; the others are their
+    conjugate mirror, with a real diagonal, so its terms are exactly
     Hermitian.
     """
-    functions = [(B.functions, C.functions) for B, C in products]
+    functions, index = [], []
+    for B, C in products:
+        n, m = len(B.functions), len(C.functions)
+        js, ks = np.divmod(np.arange(n * m), m)
+        if C is B:
+            upper = ks >= js
+            js, ks = js[upper], ks[upper]
+        start = len(functions)
+        # the rows of f_j and g_k in the table; C's follow B's unless C is B
+        ket_start = start if C is B else start + n
+        functions += B.functions if C is B else B.functions + C.functions
+        index.append((js, ks, start + js, ket_start + ks))
     if reflect:
-        _require_positive_time([fn for fs, gs in functions for fn in fs + gs])
-    table = _table([fn for fs, gs in functions for fn in fs + gs])
-    index, start = [], 0
-    for fs, gs in functions:
-        every = np.ones((len(fs), len(gs)), dtype=bool)
-        js, ks = np.nonzero(np.triu(every) if hermitian else every)
-        # the rows of f_j and g_k in the table
-        index.append((js, ks, start + js, start + len(fs) + ks))
-        start += len(fs) + len(gs)
-    # the bras are R f_j, rows 0..start of the sides, and for the
-    # self-covariances conj(f), rows start..2 start
+        _require_positive_time(functions)
+    table = _table(functions)
+    # the bras are R f_j, rows 0..size of the sides, and for the
+    # self-covariances conj(f), rows size..2 size
+    size = len(functions)
     sides = _stacked(table.reflected() if reflect else table, table.conjugated())
-    every_row = np.arange(start)
+    every_row = np.arange(size)
     values = kernel._sesqui(
-        sides.take(np.concatenate([bra for _, _, bra, _ in index] + [start + every_row])),
+        sides.take(np.concatenate([bra for _, _, bra, _ in index] + [size + every_row])),
         table.take(np.concatenate([ket for _, _, _, ket in index] + [every_row])),
     )
-    self_cov = values[values.size - start :]
+    self_cov = values[values.size - size :]
     results, offset = [], 0
-    for (B, C), (fs, gs), (js, ks, bra, ket) in zip(products, functions, index):
+    for (B, C), (js, ks, bra, ket) in zip(products, index):
         exponent = values[offset : offset + js.size] - 0.5 * (
             self_cov[ket] + np.conj(self_cov[bra])
         )
@@ -589,30 +586,31 @@ def _pair_terms(
                 f"pair ({js[i]}, {ks[i]}) overflows: its exponent {exponent[i]:.6g} "
                 f"has real part above log(float max) = {_LOG_FLOAT_MAX:.2f}"
             )
-        terms = np.zeros((len(fs), len(gs)), dtype=complex)
+        terms = np.zeros((len(B.functions), len(C.functions)), dtype=complex)
         b, c = np.array(B.coefficients), np.array(C.coefficients)
         terms[js, ks] = np.conj(b[js]) * c[ks] * np.exp(exponent)
-        if hermitian:
+        if C is B:
             strict = np.triu(terms, 1)
             terms = strict + strict.conj().T + np.diag(terms.diagonal().real)
         results.append(terms)
     return results
 
 
-def _physical_inners(kernel, products) -> List[complex]:
-    """<B|C> of each (B, C) of ``products``, as one batch."""
-    return [
-        complex(sum(terms.flat, 0j))
-        for terms in _pair_terms(kernel, products, reflect=True)
-    ]
+def _inners(kernel, products, reflect: bool = True) -> List[complex]:
+    """The inner product of each (B, C) of ``products``, as one batch: the
+    physical one when ``reflect``, else the Euclidean one.  A product of a
+    functional with itself keeps only the real part of its sum, as its terms
+    are Hermitian."""
+    terms = _pair_terms(kernel, products, reflect)
+    totals = [complex(sum(t.flat, 0j)) for t in terms]
+    return [complex(v.real) if C is B else v for (B, C), v in zip(products, totals)]
 
 
 def euclidean_inner(
     kernel: CovarianceKernel, B: WaveFunctional, C: WaveFunctional
 ) -> complex:
     """(B, C) = sum sum conj(b_j) c_k Z[g_k - conj(f_j)]."""
-    (terms,) = _pair_terms(kernel, [(B, C)], reflect=False)
-    return complex(sum(terms.flat, 0j))
+    return _inners(kernel, [(B, C)], reflect=False)[0]
 
 
 def physical_inner(
@@ -623,7 +621,7 @@ def physical_inner(
     Every test function of both functionals must have positive-time support;
     this is what makes the quadratic form positive semidefinite.
     """
-    return _physical_inners(kernel, [(B, C)])[0]
+    return _inners(kernel, [(B, C)])[0]
 
 
 def time_translate(B: WaveFunctional, beta: float) -> WaveFunctional:
@@ -637,8 +635,7 @@ def _one_particle_inners(kernel, pairs) -> List[complex]:
     """<f|g> of each (f, g) of ``pairs``, as one batch."""
     _require_positive_time([fn for pair in pairs for fn in pair])
     bras, kets = zip(*pairs)
-    values = kernel._sesqui(_table(bras).reflected(), _table(kets))
-    return [complex(value) for value in values]
+    return list(map(complex, kernel._sesqui(_table(bras).reflected(), _table(kets))))
 
 
 def one_particle_inner(
@@ -693,7 +690,7 @@ def _generator(generator: str, kernel, bra, ket) -> FDResult:
     functions.  The points of all stencils of one element go through one
     batch."""
     if isinstance(bra, WaveFunctional):
-        inner, fns = _physical_inners, bra.functions + ket.functions
+        inner, fns = _inners, bra.functions + ket.functions
     else:
         inner, fns = _one_particle_inners, (bra, ket)
     if generator == "H":
@@ -963,7 +960,7 @@ def physical_gram(
 ) -> np.ndarray:
     """Gram matrix <e^{i phi(f_i)} | e^{i phi(f_j)}> of the physical product."""
     ones = WaveFunctional((1.0,) * len(fns), fns)
-    return _pair_terms(kernel, [(ones, ones)], reflect=True, hermitian=True)[0]
+    return _pair_terms(kernel, [(ones, ones)], reflect=True)[0]
 
 
 def euclidean_gram(
@@ -971,4 +968,4 @@ def euclidean_gram(
 ) -> np.ndarray:
     """Gram matrix of the Euclidean product (no reflection, no time condition)."""
     ones = WaveFunctional((1.0,) * len(fns), fns)
-    return _pair_terms(kernel, [(ones, ones)], reflect=False, hermitian=True)[0]
+    return _pair_terms(kernel, [(ones, ones)], reflect=False)[0]

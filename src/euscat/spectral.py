@@ -73,9 +73,10 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _RESIDUAL_TOL = 1e-10
 # or above ||U^T U - I||_F; Gu-Eisenstat vectors reach about N eps
 _ORTHOGONALITY_TOL = 1e-10
-# largest grid build_grid accepts: the eigensolver and its checks hold about
-# five N x N float64 arrays, 40 N^2 bytes, 2.7 GB at this N; an n = 10^4
-# t-scan layout has N = 5050-5130
+# largest grid build_grid accepts.  Traced by tracemalloc at N = 1050 and
+# 2050, the rank-one eigensolver of the scattering path peaks at 2.04-2.08 x
+# 8 N^2 bytes, 1.1 GB at this N, and the dense diagonalize at 3.0 x 8 N^2
+# bytes with H on top, 2.1 GB; an n = 10^4 t-scan layout has N = 5050-5130
 _MAX_GRID_POINTS = 8192
 
 
@@ -208,9 +209,10 @@ def build_grid(spec: GridSpec) -> RadialGrid:
     size = int(np.sum(counts))
     if size > _MAX_GRID_POINTS:
         raise AccuracyError(
-            f"grid of N = {size} points would need about {40 * size**2 / 1e9:.3g} GB "
-            f"in N x N arrays; the limit is N = {_MAX_GRID_POINTS} "
-            f"({40 * _MAX_GRID_POINTS**2 / 1e9:.3g} GB)"
+            f"grid of N = {size} points would need about {16.64 * size**2 / 1e9:.3g} GB "
+            f"in the rank-one eigensolver (2.08 x 8 N^2 bytes; the dense diagonalize "
+            f"takes 3.0 x 8 N^2 with H on top); the limit is N = {_MAX_GRID_POINTS} "
+            f"({16.64 * _MAX_GRID_POINTS**2 / 1e9:.3g} GB)"
         )
     nodes, weights = _panel_nodes(lo, hi, counts.astype(int))
     return RadialGrid(

@@ -8,6 +8,7 @@ Self-agreement across doubled orders was 8e-13 relative.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,11 @@ class TestDescriptors:
             ("center", (0.0, math.inf, 0.0)),
             ("amplitude", complex(math.nan, 0.0)),
             ("amplitude", complex(1.0, math.inf)),
+            # their pair constants left the float range: the covariance gave
+            # a bare ValueError, a nan relative change and 0.0 with warnings
+            ("space_width", 1e170),
+            ("tau_width", 1e170),
+            ("space_width", 1e-170),
         ],
     )
     def test_non_finite_field_is_a_domain_error(self, field, value):
@@ -196,6 +202,8 @@ class TestDescriptors:
             (lambda f: f.shifted_in_time(math.nan), "tau_center"),
             (lambda f: f.shifted_in_time(-math.inf), "tau_center"),
             (lambda f: f.shifted_in_time(1.7e308).shifted_in_time(1.7e308), "tau_center"),
+            # its carrier phase overflows; np.dot warned before the error
+            (lambda f: standard_test_function(300.0).translated((1e306, 0, 0)), "amplitude"),
         ],
     )
     def test_non_finite_derived_field_is_a_domain_error(self, derive, field):
@@ -203,25 +211,62 @@ class TestDescriptors:
         with pytest.raises(DomainError, match=field):
             derive(f)
 
-    def test_derived_functions_equal_constructed_ones(self):
+    # every transform with an argument that is finite, huge, infinite or nan,
+    # as a Python or a numpy number
+    REALS = st.floats() | st.floats().map(np.float64)
+    TRANSFORMS = st.one_of(
+        st.tuples(st.sampled_from(["reflected", "conjugated"])),
+        st.tuples(st.just("shifted_in_time"), REALS),
+        st.tuples(st.just("translated"), st.tuples(REALS, REALS, REALS)),
+        st.tuples(
+            st.just("scaled"),
+            st.complex_numbers(allow_nan=True, allow_infinity=True)
+            | st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
+        ),
+    )
+
+    @staticmethod
+    def transformed_fields(f, name, arg=None):
+        """The fields the transform ``name`` gives f, computed apart from it."""
+        fields = {field: getattr(f, field) for field in f.__dataclass_fields__}
+        if name == "reflected":
+            fields["tau_center"] = -f.tau_center
+        elif name == "conjugated":
+            fields["momentum"] = tuple(-p for p in f.momentum)
+            fields["amplitude"] = f.amplitude.conjugate()
+        elif name == "shifted_in_time":
+            fields["tau_center"] = f.tau_center + float(arg)
+        elif name == "scaled":
+            fields["amplitude"] = f.amplitude * complex(arg)
+        else:
+            fields["center"] = tuple(c + float(a) for c, a in zip(f.center, arg))
+            phase = sum(p * float(a) for p, a in zip(f.momentum, arg))
+            carrier = math.nan  # no carrier for a phase past the float range
+            if math.isfinite(phase):
+                carrier = complex(math.cos(phase), -math.sin(phase))
+            fields["amplitude"] = f.amplitude * carrier
+        return fields
+
+    @given(transform=TRANSFORMS)
+    def test_derived_functions_equal_constructed_ones(self, transform):
         f = EuclideanTestFunction(
             0.02, 0.002, 0.05, momentum=(30.0, -10.0, 5.0), center=(1.0, 2.0, 3.0),
             amplitude=1 - 2j,
         )
-        fields = dict(tau_width=0.002, space_width=0.05, center=(1.0, 2.0, 3.0))
-        for derived, built in (
-            (f.reflected(), EuclideanTestFunction(
-                -0.02, momentum=(30.0, -10.0, 5.0), amplitude=1 - 2j, **fields)),
-            (f.shifted_in_time(np.float64(0.5)), EuclideanTestFunction(
-                0.52, momentum=(30.0, -10.0, 5.0), amplitude=1 - 2j, **fields)),
-            (f.conjugated(), EuclideanTestFunction(
-                0.02, momentum=(-30.0, 10.0, -5.0), amplitude=1 + 2j, **fields)),
-            (f.scaled(np.complex128(2j)), EuclideanTestFunction(
-                0.02, momentum=(30.0, -10.0, 5.0), amplitude=4 + 2j, **fields)),
-        ):
-            assert derived == built
-            assert type(derived.amplitude) is complex
-            assert type(derived) is EuclideanTestFunction
+        name, *arg = transform
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                built = EuclideanTestFunction(**self.transformed_fields(f, name, *arg))
+            except DomainError:
+                with pytest.raises(DomainError):
+                    getattr(f, name)(*arg)
+                return
+            derived = getattr(f, name)(*arg)
+        assert derived == built
+        assert type(derived.tau_center) is float
+        assert type(derived.amplitude) is complex
+        assert type(derived) is EuclideanTestFunction
 
     @pytest.mark.parametrize("field", ["momentum", "center"])
     def test_vector_fields_must_have_three_components(self, field):
@@ -527,6 +572,22 @@ class TestIntegralMemo:
         fresh = CovarianceKernel(MASS)
         assert np.array_equal(gram, physical_gram(fresh, fns))
 
+    def test_gram_sends_each_function_once(self, monkeypatch):
+        # its upper triangle and one self-covariance per function: n(n+1)/2 + n
+        # rows; with its functions in the table as bras and again as kets,
+        # n(n+1)/2 + 2n
+        fns = random_test_functions(KERNEL, np.random.default_rng(5), 6)
+        rows = []
+        original = CovarianceKernel._sesqui
+
+        def counting(self, bras, kets):
+            rows.append(bras.tau.size)
+            return original(self, bras, kets)
+
+        monkeypatch.setattr(CovarianceKernel, "_sesqui", counting)
+        physical_gram(KERNEL, fns)
+        assert rows == [6 * 7 // 2 + 6]
+
     def test_the_memo_never_passes_its_cap(self, monkeypatch):
         monkeypatch.setattr(euclidean_gf, "_MEMO_CAP", 10)
         kernel = CovarianceKernel(MASS)
@@ -626,6 +687,12 @@ class TestInnerProducts:
         assert np.max(exponents) == pytest.approx(euclidean_gf._GRAM_EXPONENT_BOUND, rel=1e-12)
         eigs = np.linalg.eigvalsh(gram)
         assert np.all(np.isfinite(eigs)) and eigs.min() >= -1e-10 * eigs.max()
+
+    def test_norm_is_real(self):
+        # summed as a plain complex sum, these terms leave -1.7e-16j
+        fns = random_test_functions(KERNEL, np.random.default_rng(1), 4)
+        B = WaveFunctional((0.8, -0.5j, 0.3, 1.0 + 0.2j), tuple(fns))
+        assert physical_inner(KERNEL, B, B).imag == 0.0
 
     def test_euclidean_inner_matches_value_algebra(self):
         f = real_lump(amp=0.9)
@@ -761,6 +828,11 @@ class TestOneParticle:
         expected -= log_time_factor_by_quad(omega, s2, gap)
         assert ratio.real > 0
         assert math.log(ratio.real) == pytest.approx(expected, rel=1e-4)
+
+    def test_time_gap_whose_square_overflows_gives_zero(self):
+        # gap * gap overflowed in the time factor's damping, with a warning
+        f = EuclideanTestFunction(0.01, 0.001, 0.01)
+        assert one_particle_inner(KERNEL, f, f.shifted_in_time(1e200)) == 0j
 
     def test_mixed_derivative_identity(self):
         f = standard_test_function(120.0)
