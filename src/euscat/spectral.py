@@ -3,10 +3,11 @@
 The half-line k in [0, inf) is covered up to ``k_max`` by explicit
 Gauss-Legendre panels (lo, hi, count); ``k_max`` is the last panel's upper
 edge.  The rules are computed here with numpy alone, by Newton's method on
-the Legendre recurrence, and cached per order; the covariance quadrature of
-``euclidean_gf`` tiles its panels with the same rules.  Weights are plain dk
-weights; the k^2 measure factor is applied by consumers (the descriptor
-records this).  The Hamiltonian is symmetrized with square-root weights,
+the Legendre recurrence, every order a call lacks in one batched iteration,
+and kept per order; the covariance quadrature of ``euclidean_gf`` tiles its
+panels with the same rules.  Weights are plain dk weights; the k^2 measure
+factor is applied by consumers (the descriptor records this).  The
+Hamiltonian is symmetrized with square-root weights,
 
     H_ij = delta_ij k_i^2/m - coupling * sqrt(w_i) k_i g(k_i) sqrt(w_j) k_j g(k_j),
 
@@ -30,10 +31,9 @@ approximation widens its domain accordingly instead of shifting H.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,61 +125,123 @@ class SpectralOperator:
 # Newton steps allowed per Gauss-Legendre rule; from Tricomi's guesses the
 # orders up to 5120 stop after four or five
 _MAX_NEWTON_STEPS = 20
+# the Gauss-Legendre rules built so far, by order; the table is emptied
+# before it would pass _MAX_RULES orders
+_MAX_RULES = 256
+_RULES: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _legendre_pair(count: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """P_{count-1}(x) and P_count(x) by the three-term recurrence."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(2, count + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+def _legendre_pairs(
+    orders: np.ndarray, sizes: np.ndarray, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """P_{n-1} and P_n at x by the three-term recurrence
+    P_j = ((2j-1) x P_{j-1} - (j-1) P_{j-2})/j, with n = orders[0] on the
+    first sizes[0] entries of x, orders[1] on the next sizes[1], and so on.
+    The orders descend, so the entries still in the recurrence at step j
+    are a prefix of x, and each order leaves it as one block."""
+    prev, cur = np.ones_like(x), x.copy()
+    p_prev, p = prev.copy(), cur.copy()
+    work = np.empty_like(x)
+    ends = np.cumsum(sizes).tolist()
+    j = 1
+    for top, end, stop in zip(orders.tolist()[::-1], ends[::-1], ends[-2::-1] + [0]):
+        xs, t, a, b = x[:end], work[:end], prev[:end], cur[:end]
+        for j in range(j + 1, top + 1):
+            # a holds P_{j-2} and b P_{j-1}; then a takes P_j, and they swap
+            np.multiply(xs, 2 * j - 1, out=t)
+            t *= b
+            a *= j - 1
+            np.subtract(t, a, out=a)
+            a /= j
+            a, b, prev, cur = b, a, cur, prev
+        j = top
+        p_prev[stop:end], p[stop:end] = prev[stop:end], cur[stop:end]
     return p_prev, p
 
 
-@functools.lru_cache(maxsize=256)
-def _legendre_roots(count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights of order ``count``,
-    read-only.
+def _legendre_rules(orders: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Gauss-Legendre nodes (ascending) and weights of each of the distinct
+    ``orders``, read-only, all in one batched Newton iteration.
 
     Newton's method on the three-term recurrence (Hale & Townsend, SIAM J.
     Sci. Comput. 35 (2013) A652) from Tricomi's guesses cos(pi(4k-1)/(4n+2)),
     for the nodes x >= 0 only; the other half is their mirror image, so the
-    rule is exactly symmetric and the middle node of an odd order is 0.  The
-    cost grows as the square of the order (about 0.1 s at 2560 nodes and
-    0.25 s at 5120 on a 2-core VM), so a caller bounds the order before asking.
+    rule is exactly symmetric and the middle node of an odd order is 0.  Each
+    order stops at its own convergence, so its rule has the same bits as when
+    it is built alone.  The cost grows as the sum of the squared orders
+    (about 0.1 s at 2560 nodes and 0.25 s at 5120 on a 2-core VM), so a caller
+    bounds the order before asking.
     """
-    k = np.arange(1, (count + 1) // 2 + 1)
-    x = np.cos(math.pi * (4 * k - 1) / (4 * count + 2))
+    ranked = np.array(sorted(orders, reverse=True))
+    sizes = (ranked + 1) // 2
+    n = np.repeat(ranked, sizes)
+    starts = np.cumsum(sizes) - sizes
+    k = np.arange(1, n.size + 1) - np.repeat(starts, sizes)
+    x = np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    live = np.ones(len(ranked), dtype=bool)
     for _ in range(_MAX_NEWTON_STEPS):
-        p_prev, p = _legendre_pair(count, x)
+        rows = np.repeat(live, sizes)
+        xs, ns, counts = x[rows], n[rows], sizes[live]
+        p_prev, p = _legendre_pairs(ranked[live], counts, xs)
         # P_n' = n (P_{n-1} - x P_n) / ((1 - x)(1 + x))
-        step = p * (1.0 - x) * (1.0 + x) / (count * (p_prev - x * p))
-        x = x - step
-        if np.max(np.abs(step)) <= 1e-15:
+        step = p * (1.0 - xs) * (1.0 + xs) / (ns * (p_prev - xs * p))
+        x[rows] = xs - step
+        largest = np.maximum.reduceat(np.abs(step), np.cumsum(counts) - counts)
+        live[np.flatnonzero(live)[largest <= 1e-15]] = False
+        if not live.any():
             break
     else:
+        stalled = ", ".join(map(str, sorted(ranked[live].tolist())))
         raise AccuracyError(
-            f"Gauss-Legendre nodes of order {count} did not converge "
+            f"Gauss-Legendre nodes of order {stalled} did not converge "
             f"in {_MAX_NEWTON_STEPS} Newton steps"
         )
-    if count % 2:
-        x[-1] = 0.0
+    x[(starts + sizes - 1)[ranked % 2 == 1]] = 0.0
     # the weights 2 / ((1 - x^2) P_n'(x)^2) at the returned nodes
-    p_prev, p = _legendre_pair(count, x)
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (count * (p_prev - x * p)) ** 2
-    half = count // 2
-    x = np.concatenate([-x[:half], x[::-1]])
-    w = np.concatenate([w[:half], w[::-1]])
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    p_prev, p = _legendre_pairs(ranked, sizes, x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (p_prev - x * p)) ** 2
+    rules = {}
+    for order, start, size in zip(ranked.tolist(), starts.tolist(), sizes.tolist()):
+        xo, wo = x[start : start + size], w[start : start + size]
+        half = order // 2
+        xo = np.concatenate([-xo[:half], xo[::-1]])
+        wo = np.concatenate([wo[:half], wo[::-1]])
+        xo.setflags(write=False)
+        wo.setflags(write=False)
+        rules[order] = xo, wo
+    return [rules[order] for order in orders]
+
+
+def _tabulate(orders: Iterable[int]) -> None:
+    """Add the rules of the distinct ``orders`` that the table _RULES lacks,
+    in one ``_legendre_rules`` call; a table that would pass _MAX_RULES
+    orders is emptied first, and then every order of ``orders`` is built."""
+    missing = [n for n in orders if n not in _RULES]
+    if len(_RULES) + len(missing) > _MAX_RULES:
+        _RULES.clear()
+        missing = list(orders)
+    if missing:
+        _RULES.update(zip(missing, _legendre_rules(missing)))
+
+
+def _legendre_roots(count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights of order ``count``,
+    read-only, from the table of rules built so far (``_legendre_rules``
+    builds a missing one)."""
+    if count not in _RULES:
+        _tabulate([count])
+    return _RULES[count]
 
 
 def _panel_nodes(
     lo: np.ndarray, hi: np.ndarray, counts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Concatenated Gauss-Legendre nodes and weights, order ``counts[i]`` (an
-    integer array) on each consecutive panel [lo[i], hi[i]]."""
-    roots = [_legendre_roots(count) for count in counts.tolist()]
+    integer array) on each consecutive panel [lo[i], hi[i]].  The orders not
+    tabulated yet are built first, all in one batched Newton iteration."""
+    orders = counts.tolist()
+    _tabulate(set(orders))
+    roots = [_legendre_roots(count) for count in orders]
     mid = np.repeat(0.5 * (lo + hi), counts)
     half = np.repeat(0.5 * (hi - lo), counts)
     x = np.concatenate([x for x, _ in roots])

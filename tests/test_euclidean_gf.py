@@ -355,6 +355,19 @@ class TestCovariance:
         rotated = covariance(KERNEL, rotate(f), rotate(g))
         assert rotated == pytest.approx(ref, rel=1e-10)
 
+    def test_time_width_whose_product_with_omega_overflows(self):
+        # omega * s2 overflowed in the time factor, with a warning, and the
+        # covariance came out 0; for widths far above 1/m it grows as the width
+        def per_width(width):
+            g = EuclideanTestFunction(0.01 + 7.0 * width, width, 0.001)
+            return covariance(KERNEL, g, g) / width
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = per_width(1e153)
+        assert math.isfinite(huge)
+        assert huge == pytest.approx(per_width(1e10), rel=1e-12)
+
     def test_complex_profile_rejected(self):
         boosted = standard_test_function(200.0)
         with pytest.raises(PreconditionError, match="one_particle_inner"):
@@ -390,6 +403,77 @@ class TestTimeFactor:
             np.array([omega]), np.array([s2]), np.array([gap]), np.array([1])
         )
         assert abs(math.log(value) - reference) <= 1e-12
+
+
+    @staticmethod
+    def full_time_factor(omega, s2, gap, sizes):
+        """The closed form of ``_time_factor`` with the erfcx pair evaluated
+        on every node."""
+        root = np.sqrt(2.0 * s2)
+        near = np.minimum(gap, 40.0 * root)
+        damping = np.exp(-near * near / (2.0 * s2))
+        damping, half, shift, s2, gap = (
+            np.repeat(column, sizes) for column in (damping, 0.5 * root, near / root, s2, gap)
+        )
+        z_minus = omega * half - shift
+        below = z_minus < 0.0
+        with np.errstate(over="ignore"):
+            folded = np.exp(omega * np.minimum(0.5 * (omega * s2) - gap, 0.0))
+        tails = euclidean_gf._erfcx(omega * half + shift)
+        tails += np.where(below, -1.0, 1.0) * euclidean_gf._erfcx(np.abs(z_minus))
+        return damping * tails + 2.0 * below * folded
+
+    def test_skipping_the_erfcx_pair_changes_no_bit(self, monkeypatch):
+        st = 0.0035
+        pairs = [
+            (2 * st**2, 2 * 7.5 * st),  # reflected, as in one_particle_inner
+            (2 * st**2, 0.25),  # reflected farther
+            (0.0015**2 + 0.002**2, 0.004),  # unreflected, as in covariance
+            (2 * 0.002**2, 0.0),  # one function with itself
+            (2e-6, 100.0 * math.sqrt(4e-6)),  # past the damping's clamp
+            (2e-6, 1e307),  # a gap whose square overflows
+            (2e306, 0.0),  # a width whose omega s2 overflows
+            (2e306, 1e154),
+        ]
+        s2, gap = (np.array(column) for column in zip(*pairs))
+        omega = np.geomspace(MASS, 1e6, 300)
+        # and the nodes on both sides of z- = 0 of the first pair
+        edge = gap[0] / s2[0]
+        omega = np.concatenate([omega, np.nextafter(edge, [0.0, np.inf]), [edge]])
+        sizes = np.full(len(pairs), omega.size)
+        omega = np.tile(omega, len(pairs))
+        evaluated = []
+        erfcx = euclidean_gf._erfcx
+
+        def counting(x):
+            evaluated.append(x.size)
+            return erfcx(x)
+
+        monkeypatch.setattr(euclidean_gf, "_erfcx", counting)
+        value = CovarianceKernel._time_factor(omega, s2, gap, sizes)
+        assert sum(evaluated) < omega.size
+        monkeypatch.setattr(euclidean_gf, "_erfcx", erfcx)
+        assert np.array_equal(value, self.full_time_factor(omega, s2, gap, sizes))
+        assert np.all(np.isfinite(value))
+
+
+class TestErfcx:
+    def test_matches_forty_digit_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 1201)])
+        values = euclidean_gf._erfcx(np.append(x, 1e300))
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            exact = [mpmath.exp(mpmath.mpf(p) ** 2) * mpmath.erfc(p) for p in x]
+            # mpmath's erfc does not reach 1e300; there the first two terms of
+            # the asymptotic series are exact to far more than 40 digits
+            big = mpmath.mpf(1e300)
+            exact.append((1 - 1 / (2 * big * big)) / (mpmath.sqrt(mpmath.pi) * big))
+            errors = [abs((v - e) / e) for v, e in zip(values, exact)]
+        assert max(errors) <= 4 * eps
+
+    def test_infinity_gives_zero(self):
+        assert euclidean_gf._erfcx(np.array([math.inf])).tolist() == [0.0]
 
 
 class TestGeneratingFunctional:
@@ -830,9 +914,13 @@ class TestOneParticle:
         assert math.log(ratio.real) == pytest.approx(expected, rel=1e-4)
 
     def test_time_gap_whose_square_overflows_gives_zero(self):
-        # gap * gap overflowed in the time factor's damping, with a warning
+        # gap * gap overflowed in the time factor's damping, with a warning;
+        # at 1e307 gap / sqrt(2 s2) did too, in the arguments of erfcx
         f = EuclideanTestFunction(0.01, 0.001, 0.01)
-        assert one_particle_inner(KERNEL, f, f.shifted_in_time(1e200)) == 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert one_particle_inner(KERNEL, f, f.shifted_in_time(1e200)) == 0j
+            assert one_particle_inner(KERNEL, f, f.shifted_in_time(1e307)) == 0j
 
     def test_mixed_derivative_identity(self):
         f = standard_test_function(120.0)

@@ -15,13 +15,13 @@ Every function the benchmark traces (``LAYERS`` in ``bench/spans.py``, read
 with ``ast`` so the bench is not imported) exists in the package; the tracer
 only warns about a missing one, and its layer metrics would read 0.
 
-``import euscat``, ``import euscat.cli`` and a scattering point load none of
-``scipy.special``, ``scipy.linalg``, ``scipy.integrate`` and the
+``import euscat``, ``import euscat.cli``, a scattering point and a covariance
+load none of ``scipy.special``, ``scipy.linalg``, ``scipy.integrate`` and the
 ``scipy.optimize`` and ``scipy.sparse.linalg`` that ``scipy.integrate``
-loads: each is start-up time of every process.  Only the covariance of
-``euclidean_gf`` imports ``scipy.special``, and only the quadrature reference
-of ``euscat.model`` imports ``scipy.integrate``, each when it runs; a
-covariance computed after the check shows that the first still works.
+loads: each is start-up time of every process.  The covariance evaluates
+erfcx with numpy alone; only the quadrature reference of ``euscat.model``
+imports ``scipy.integrate``, when it runs.  A scattering point loads neither
+``numpy.fft``, which only the covariance's erfcx needs, nor ``numpy.ma``.
 """
 
 import ast
@@ -207,7 +207,7 @@ def test_every_traced_layer_exists():
 def test_import_loads_no_unused_scipy_subpackage():
     # a fresh interpreter, handed the directory that holds the package under
     # test; it prints the loaded modules after a scattering point, then the
-    # value of one covariance
+    # value of one covariance and the loaded modules after it
     probe = "\n".join(
         [
             "import sys, euscat, euscat.cli",
@@ -216,6 +216,7 @@ def test_import_loads_no_unused_scipy_subpackage():
             "print(' '.join(sorted(sys.modules)))",
             "f = euscat.standard_test_function()",
             "print(euscat.covariance(euscat.CovarianceKernel(139.57), f, f))",
+            "print(' '.join(sorted(sys.modules)))",
         ]
     )
     result = subprocess.run(
@@ -225,9 +226,7 @@ def test_import_loads_no_unused_scipy_subpackage():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         check=True,
     )
-    modules, value = result.stdout.splitlines()
-    loaded = set(modules.split())
-    assert {"euscat", "euscat.cli"} <= loaded
+    scattering, value, covariance = result.stdout.splitlines()
     heavy = {
         "scipy.integrate",
         "scipy.linalg",
@@ -235,5 +234,11 @@ def test_import_loads_no_unused_scipy_subpackage():
         "scipy.sparse.linalg",
         "scipy.special",
     }
-    assert sorted(heavy & loaded) == []
+    for modules in (scattering, covariance):
+        loaded = set(modules.split())
+        assert {"euscat", "euscat.cli"} <= loaded
+        assert sorted(heavy & loaded) == []
+    # the erfcx coefficients come from numpy.fft, built on first use; and
+    # numpy.ma, which np.unique loads, costs about 10 ms and 1.3 MB
+    assert {"numpy.fft", "numpy.ma"}.isdisjoint(scattering.split())
     assert float(value) > 0.0

@@ -146,10 +146,66 @@ class TestLegendreRule:
             with pytest.raises(ValueError):
                 arr[0] = 0.5
 
+    def test_batched_rules_equal_the_rules_of_one_order(self):
+        # every order 1..600 in one batch; against the same Newton iteration
+        # run for each order alone with its own scalar recurrence, each
+        # order to 64 and a spread of larger ones (all 600 take about 6 s)
+        def alone(count):
+            k = np.arange(1, (count + 1) // 2 + 1)
+            x = np.cos(math.pi * (4 * k - 1) / (4 * count + 2))
+
+            def pair(x):
+                p_prev, p = np.ones_like(x), x
+                for j in range(2, count + 1):
+                    p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+                return p_prev, p
+
+            for _ in range(spectral._MAX_NEWTON_STEPS):
+                p_prev, p = pair(x)
+                step = p * (1.0 - x) * (1.0 + x) / (count * (p_prev - x * p))
+                x = x - step
+                if np.max(np.abs(step)) <= 1e-15:
+                    break
+            if count % 2:
+                x[-1] = 0.0
+            p_prev, p = pair(x)
+            w = 2.0 * (1.0 - x) * (1.0 + x) / (count * (p_prev - x * p)) ** 2
+            half = count // 2
+            return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
+
+        orders = list(range(1, 601))
+        rules = dict(zip(orders, spectral._legendre_rules(orders)))
+        for count in [*range(1, 65), *range(101, 600, 37), 599, 600]:
+            x, w = rules[count]
+            x_alone, w_alone = alone(count)
+            assert np.array_equal(x, x_alone) and np.array_equal(w, w_alone), count
+
+    def test_panel_nodes_build_the_missing_orders_in_one_batch(self, monkeypatch):
+        batches = []
+        original = spectral._legendre_rules
+
+        def recording(orders):
+            batches.append(list(orders))
+            return original(orders)
+
+        monkeypatch.setattr(spectral, "_RULES", {40: spectral._legendre_roots(40)})
+        monkeypatch.setattr(spectral, "_legendre_rules", recording)
+        counts = np.array([80, 40, 41, 80, 3])
+        lo = np.arange(5.0)
+        x, w = spectral._panel_nodes(lo, lo + 1.0, counts)
+        assert [sorted(batch) for batch in batches] == [[3, 41, 80]]
+        start = 0
+        for edge, count in zip(lo, counts):
+            rule_x, rule_w = spectral._legendre_roots(int(count))
+            assert np.array_equal(x[start : start + count], edge + 0.5 + 0.5 * rule_x)
+            assert np.array_equal(w[start : start + count], 0.5 * rule_w)
+            start += count
+        assert start == x.size == w.size
+
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_NEWTON_STEPS", 0)
         with pytest.raises(AccuracyError, match="order 40 did not converge"):
-            spectral._legendre_roots.__wrapped__(40)
+            spectral._legendre_rules([40])
 
 
 class TestDiscretizeAndDiagonalize:
