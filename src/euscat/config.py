@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigError
-from .model import SeparableModel, coupling_for_binding
+from .model import DEFAULT_BINDING, DEFAULT_MASS, DEFAULT_MPI, SeparableModel, coupling_for_binding
 
 _SECTIONS = ("model", "grid", "cheb", "kb", "scan", "gf")
 
@@ -29,10 +29,10 @@ class RunConfig:
     binding target.  ``kb_sigma_mev=None`` means one tenth of ``kb_k0_mev``.
     """
 
-    model_mass_mev: float = 938.9
-    model_mpi_mev: float = 139.0
+    model_mass_mev: float = DEFAULT_MASS
+    model_mpi_mev: float = DEFAULT_MPI
     model_coupling: Optional[float] = None
-    model_binding_mev: float = -2.2246
+    model_binding_mev: float = DEFAULT_BINDING
     grid_k_max_mev: float = 6000.0
     cheb_oscillation: float = -220.0
     cheb_degree: int = 300

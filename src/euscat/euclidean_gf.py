@@ -397,12 +397,16 @@ class CovarianceKernel:
         serves both.
         """
         root = np.sqrt(2.0 * s2)
-        # from gap = 40 root on, the damping is e^{-1600}, 0 in floats; the
-        # clamp there keeps gap * gap finite for any gap.  On those pairs the
-        # clamped z- < 0 differs from the true one only where E < -1600.
+        # from gap = 40 root on, the damping is e^{-1600}, 0 in floats, so the
+        # gap is clamped there.  On those pairs the clamped z- < 0 differs
+        # from the true one only where E < -1600.
         near = np.minimum(gap, 40.0 * root)
-        damping = np.exp(-near * near / (2.0 * s2))
         shift = near / root
+        with np.errstate(over="ignore"):
+            exponent = near * near / (2.0 * s2)
+        # near * near overflows from about 1.3e154 (a width near 1e153); the
+        # exponent is shift^2 there, and only there, so no finite one moves
+        damping = np.exp(-np.where(np.isinf(exponent), shift * shift, exponent))
         damping, half, shift, s2, gap = (
             np.repeat(column, sizes) for column in (damping, 0.5 * root, shift, s2, gap)
         )

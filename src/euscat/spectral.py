@@ -4,10 +4,12 @@ The half-line k in [0, inf) is covered up to ``k_max`` by explicit
 Gauss-Legendre panels (lo, hi, count); ``k_max`` is the last panel's upper
 edge.  The rules are computed here with numpy alone, by Newton's method on
 the Legendre recurrence, every order a call lacks in one batched iteration,
-and kept per order; the covariance quadrature of ``euclidean_gf`` tiles its
-panels with the same rules.  Weights are plain dk weights; the k^2 measure
-factor is applied by consumers (the descriptor records this).  The
-Hamiltonian is symmetrized with square-root weights,
+and kept per order in one bounded table, which only the panel routine
+``_panel_nodes`` reads and writes; the covariance quadrature of
+``euclidean_gf`` tiles its panels through the same routine.  Weights are
+plain dk weights; the k^2 measure factor is applied by consumers (the
+descriptor records this).  The Hamiltonian is symmetrized with square-root
+weights,
 
     H_ij = delta_ij k_i^2/m - coupling * sqrt(w_i) k_i g(k_i) sqrt(w_j) k_j g(k_j),
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,8 +127,8 @@ class SpectralOperator:
 # Newton steps allowed per Gauss-Legendre rule; from Tricomi's guesses the
 # orders up to 5120 stop after four or five
 _MAX_NEWTON_STEPS = 20
-# the Gauss-Legendre rules built so far, by order; the table is emptied
-# before it would pass _MAX_RULES orders
+# the Gauss-Legendre rules built so far, by order; only _panel_nodes reads
+# and writes the table, and empties it before it would pass _MAX_RULES orders
 _MAX_RULES = 256
 _RULES: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -159,9 +161,10 @@ def _legendre_pairs(
     return p_prev, p
 
 
-def _legendre_rules(orders: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+def _legendre_rules(orders: Iterable[int]) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
     """Gauss-Legendre nodes (ascending) and weights of each of the distinct
-    ``orders``, read-only, all in one batched Newton iteration.
+    ``orders``, read-only and keyed by order, all in one batched Newton
+    iteration.
 
     Newton's method on the three-term recurrence (Hale & Townsend, SIAM J.
     Sci. Comput. 35 (2013) A652) from Tricomi's guesses cos(pi(4k-1)/(4n+2)),
@@ -209,43 +212,29 @@ def _legendre_rules(orders: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]
         xo.setflags(write=False)
         wo.setflags(write=False)
         rules[order] = xo, wo
-    return [rules[order] for order in orders]
-
-
-def _tabulate(orders: Iterable[int]) -> None:
-    """Add the rules of the distinct ``orders`` that the table _RULES lacks,
-    in one ``_legendre_rules`` call; a table that would pass _MAX_RULES
-    orders is emptied first, and then every order of ``orders`` is built."""
-    missing = [n for n in orders if n not in _RULES]
-    if len(_RULES) + len(missing) > _MAX_RULES:
-        _RULES.clear()
-        missing = list(orders)
-    if missing:
-        _RULES.update(zip(missing, _legendre_rules(missing)))
-
-
-def _legendre_roots(count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights of order ``count``,
-    read-only, from the table of rules built so far (``_legendre_rules``
-    builds a missing one)."""
-    if count not in _RULES:
-        _tabulate([count])
-    return _RULES[count]
+    return rules
 
 
 def _panel_nodes(
     lo: np.ndarray, hi: np.ndarray, counts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Concatenated Gauss-Legendre nodes and weights, order ``counts[i]`` (an
-    integer array) on each consecutive panel [lo[i], hi[i]].  The orders not
-    tabulated yet are built first, all in one batched Newton iteration."""
+    integer array) on each consecutive panel [lo[i], hi[i]].
+
+    The rules are kept per order in _RULES, which only this function reads
+    and writes: the orders it lacks are built in one ``_legendre_rules``
+    call, and a table that would pass _MAX_RULES orders is emptied first."""
     orders = counts.tolist()
-    _tabulate(set(orders))
-    roots = [_legendre_roots(count) for count in orders]
+    missing = set(orders).difference(_RULES)
+    if len(_RULES) + len(missing) > _MAX_RULES:
+        _RULES.clear()
+        missing = set(orders)
+    if missing:
+        _RULES.update(_legendre_rules(missing))
     mid = np.repeat(0.5 * (lo + hi), counts)
     half = np.repeat(0.5 * (hi - lo), counts)
-    x = np.concatenate([x for x, _ in roots])
-    w = np.concatenate([w for _, w in roots])
+    x = np.concatenate([_RULES[n][0] for n in orders])
+    w = np.concatenate([_RULES[n][1] for n in orders])
     return mid + half * x, half * w
 
 

@@ -357,16 +357,22 @@ class TestCovariance:
 
     def test_time_width_whose_product_with_omega_overflows(self):
         # omega * s2 overflowed in the time factor, with a warning, and the
-        # covariance came out 0; for widths far above 1/m it grows as the width
-        def per_width(width):
+        # covariance came out 0; for widths far above 1/m it grows as the width.
+        # At this width the damping's near * near overflowed, with a warning,
+        # for time gaps from about 1.3e154 on
+        def per_width(width, gap=0.0):
             g = EuclideanTestFunction(0.01 + 7.0 * width, width, 0.001)
-            return covariance(KERNEL, g, g) / width
+            return covariance(KERNEL, g, g.shifted_in_time(gap)) / width
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             huge = per_width(1e153)
+            gapped = [per_width(1e153, gap) for gap in (1e154, 1.3e154, 1.4e154, 2e154, 5e154)]
         assert math.isfinite(huge)
         assert huge == pytest.approx(per_width(1e10), rel=1e-12)
+        assert huge > gapped[0] > 0.0
+        assert all(a > b for a, b in zip(gapped, gapped[1:]))
+        assert gapped[-1] == 0.0
 
     def test_complex_profile_rejected(self):
         boosted = standard_test_function(200.0)

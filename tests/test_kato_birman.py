@@ -578,10 +578,11 @@ class TestExtraction:
 
     def test_oversized_grid_is_refused_before_it_is_built(self, monkeypatch):
         # n = 10^5 asks for panels of about 50,000 nodes
-        def refuse(count):
+        def refuse(orders):
             raise AssertionError("a Gauss-Legendre rule was computed")
 
-        monkeypatch.setattr(spectral, "_legendre_roots", refuse)
+        monkeypatch.setattr(spectral, "_RULES", {})
+        monkeypatch.setattr(spectral, "_legendre_rules", refuse)
         start = time.perf_counter()
         with pytest.raises(AccuracyError, match="GB"):
             extract_sharp_t(MODEL, KBConfig(n=100_000, beta=None, sigma=1000.0 / 24.0), 1000.0)

@@ -108,19 +108,32 @@ class TestGrid:
 
 
     def test_oversized_grid_is_refused_before_any_node(self, monkeypatch):
-        def refuse(count):
+        def refuse(orders):
             raise AssertionError("a Gauss-Legendre rule was computed")
 
-        monkeypatch.setattr(spectral, "_legendre_roots", refuse)
+        monkeypatch.setattr(spectral, "_RULES", {})
+        monkeypatch.setattr(spectral, "_legendre_rules", refuse)
         limit = spectral._MAX_GRID_POINTS
         with pytest.raises(AccuracyError, match=f"N = {limit + 1} .* GB.* N = {limit} "):
             build_grid(GridSpec(panels=[(0.0, 1.0, limit // 2), (1.0, 2.0, limit // 2 + 1)]))
 
 
+def _assert_fresh_rules_on_panels(x, w, lo, counts, legendre_rules):
+    # the nodes and weights of unit panels from lo, bit for bit those of a
+    # fresh legendre_rules call for each panel's order
+    start = 0
+    for edge, count in zip(lo.tolist(), counts.tolist()):
+        rule_x, rule_w = legendre_rules([count])[count]
+        assert np.array_equal(x[start : start + count], edge + 0.5 + 0.5 * rule_x)
+        assert np.array_equal(w[start : start + count], 0.5 * rule_w)
+        start += count
+    assert start == x.size == w.size
+
+
 class TestLegendreRule:
     @pytest.mark.parametrize("count", sorted(LEGENDRE_ANCHORS))
     def test_matches_forty_digit_anchors(self, count):
-        x, w = spectral._legendre_roots(count)
+        x, w = spectral._legendre_rules([count])[count]
         for index, node, weight in LEGENDRE_ANCHORS[count]:
             assert abs(x[index] - node) <= 2.3e-16
             # the end weight carries the end node's rounding times ~n^2
@@ -129,13 +142,13 @@ class TestLegendreRule:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 8, 40, 41, 160])
     def test_integrates_even_powers_exactly(self, count):
-        x, w = spectral._legendre_roots(count)
+        x, w = spectral._legendre_rules([count])[count]
         for power in range(0, 2 * count, 2):
             assert np.sum(w * x**power) == pytest.approx(2.0 / (power + 1), rel=1e-13)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 8, 40, 41, 160, 161, 1000])
     def test_rule_is_ordered_symmetric_and_read_only(self, count):
-        x, w = spectral._legendre_roots(count)
+        x, w = spectral._legendre_rules([count])[count]
         assert x.shape == w.shape == (count,)
         assert np.all(np.diff(x) > 0)
         assert np.array_equal(x, -x[::-1])
@@ -174,7 +187,7 @@ class TestLegendreRule:
             return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
 
         orders = list(range(1, 601))
-        rules = dict(zip(orders, spectral._legendre_rules(orders)))
+        rules = spectral._legendre_rules(orders)
         for count in [*range(1, 65), *range(101, 600, 37), 599, 600]:
             x, w = rules[count]
             x_alone, w_alone = alone(count)
@@ -188,19 +201,38 @@ class TestLegendreRule:
             batches.append(list(orders))
             return original(orders)
 
-        monkeypatch.setattr(spectral, "_RULES", {40: spectral._legendre_roots(40)})
+        monkeypatch.setattr(spectral, "_RULES", original([40]))
         monkeypatch.setattr(spectral, "_legendre_rules", recording)
         counts = np.array([80, 40, 41, 80, 3])
         lo = np.arange(5.0)
         x, w = spectral._panel_nodes(lo, lo + 1.0, counts)
         assert [sorted(batch) for batch in batches] == [[3, 41, 80]]
-        start = 0
-        for edge, count in zip(lo, counts):
-            rule_x, rule_w = spectral._legendre_roots(int(count))
-            assert np.array_equal(x[start : start + count], edge + 0.5 + 0.5 * rule_x)
-            assert np.array_equal(w[start : start + count], 0.5 * rule_w)
-            start += count
-        assert start == x.size == w.size
+        _assert_fresh_rules_on_panels(x, w, lo, counts, original)
+
+    def test_table_is_emptied_before_it_passes_the_cap(self, monkeypatch):
+        batches = []
+        original = spectral._legendre_rules
+
+        def recording(orders):
+            batches.append(sorted(orders))
+            return original(orders)
+
+        monkeypatch.setattr(spectral, "_RULES", {})
+        monkeypatch.setattr(spectral, "_MAX_RULES", 4)
+        monkeypatch.setattr(spectral, "_legendre_rules", recording)
+        for counts, table in (
+            ([5, 3, 5], [3, 5]),
+            ([3, 7, 2], [2, 3, 5, 7]),  # fills the table to the cap
+            ([7, 2], [2, 3, 5, 7]),  # all held: nothing is built
+            ([9, 3], [3, 9]),  # would pass the cap: emptied, both built
+            ([1, 2, 4, 6, 8, 10, 6], [1, 2, 4, 6, 8, 10]),  # more than the cap
+        ):
+            counts = np.array(counts)
+            lo = np.arange(float(counts.size))
+            x, w = spectral._panel_nodes(lo, lo + 1.0, counts)
+            assert sorted(spectral._RULES) == table
+            _assert_fresh_rules_on_panels(x, w, lo, counts, original)
+        assert batches == [[3, 5], [2, 7], [3, 9], [1, 2, 4, 6, 8, 10]]
 
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_NEWTON_STEPS", 0)
