@@ -26,14 +26,14 @@ with p(lambda_i), and as U is orthogonal
     u'^T p(A)^2 u = sum_i c'_i c_i p(lambda_i)^2
 
 (c alone when u' = u, as for identical real packets).  Clenshaw on a block of
-ones gives the values p(lambda_i), each semigroup application being an
-elementwise product with e^{-beta E}; the series of every n of a sweep share
-that one pass, one column each, and each column joins it at its own degree,
-so a sweep takes the degree + 1 steps of its largest n and pays each n its
-own degree + 1 column-applications.  The exact propagator of the tests
-shares every other step and takes e^{in lambda_i} in place of p(lambda_i).  A per-factor uniform
-error of 5e-13 bounds the overlap's by sup|p^2 - e^{2inx}| <= tol (2 + tol)
-< 1e-12.
+ones gives the values p(lambda_i), each semigroup application being one
+product with the images of e^{-beta E} under the recurrence's affine map; the
+series of every n of a sweep share that one pass, one column each, and each
+column joins it at its own degree, so a sweep takes the degree + 1 steps of
+its largest n and pays each n its own degree + 1 column-applications.  The
+exact propagator of the tests shares every other step and takes
+e^{in lambda_i} in place of p(lambda_i).  A per-factor uniform error of 5e-13
+bounds the overlap's by sup|p^2 - e^{2inx}| <= tol (2 + tol) < 1e-12.
 
 Conventions: S(k) = 1 - i pi m k t(k), energy density rho(E) = m k / 2.
 The sharp amplitude comes from the quotient

@@ -623,27 +623,32 @@ class Semigroup:
     """e^{-beta H} for one finite beta > 0 in the eigenbasis of ``op``.
 
     ``apply`` takes eigen-coordinates c = U^T u (``op.coordinates``), where
-    the semigroup is the elementwise product with the read-only images
-    e^{-beta E}, formed once the bounds check passes; ``semigroup_apply`` is
-    the same operator on grid coordinates.
+    the semigroup is the product with the read-only images e^{-beta E} (under
+    an affine map, with their images, formed on first use and kept);
+    ``semigroup_apply`` is the same operator on grid coordinates.
     """
 
     op: SpectralOperator
     beta: float
     images: np.ndarray = field(init=False, repr=False, compare=False)
+    _mapped: Dict[Tuple[float, float], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bounds()
         images = np.exp(-self.beta * self.op.eigenvalues)
         images.setflags(write=False)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_mapped", {(1.0, 0.0): images})
 
-    def apply(self, c: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """e^{-beta H} on eigen-coordinates: images * c for a real or complex
-        vector, or row-wise for an N x K block; written into ``out`` and
-        returned when given, else a fresh array."""
+    def apply(self, c: np.ndarray, out: Optional[np.ndarray] = None, scale: float = 1.0,
+              shift: float = 0.0) -> np.ndarray:
+        """scale e^{-beta H} - shift on eigen-coordinates c, a vector or, row-wise,
+        an N x K block; written into ``out`` and returned when given."""
+        images = self._mapped.get((scale, shift))
+        if images is None:  # complex: a complex block then meets it without a cast
+            images = self._mapped[scale, shift] = (scale * self.images - shift).astype(complex)
         c = np.asarray(c)
-        return np.multiply(self.images if c.ndim == 1 else self.images[:, None], c, out=out)
+        return np.multiply(images if c.ndim == 1 else images[:, None], c, out=out)
 
     def bounds(self) -> Tuple[float, float]:
         return semigroup_bounds(self.op, self.beta)
@@ -655,11 +660,10 @@ def semigroup_apply(op: SpectralOperator, beta: float, v: np.ndarray) -> np.ndar
     beta must be finite and >= 0."""
     if not (math.isfinite(beta) and beta >= 0):
         raise DomainError(f"beta must be finite and >= 0, got {beta}")
-    images = Semigroup(op, beta).images if beta > 0 else np.ones(op.size)
     coeffs = op.coordinates(v)
-    if coeffs.ndim == 2:
-        images = images[:, None]
-    return _real_product(op.vectors, images * coeffs)
+    if beta > 0:
+        coeffs = Semigroup(op, beta).apply(coeffs)
+    return _real_product(op.vectors, coeffs)
 
 
 def semigroup_bounds(op: SpectralOperator, beta: float) -> Tuple[float, float]:

@@ -18,13 +18,14 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def apply_widths(monkeypatch):
     """The block width of every ``Semigroup.apply`` call, in call order: one
-    entry per semigroup application, the paper's cost unit."""
+    entry per semigroup application, the paper's cost unit, whether plain or
+    under the affine map of a Clenshaw step."""
     widths = []
     original = spectral.Semigroup.apply
 
-    def counting(self, v, out=None):
+    def counting(self, v, out=None, **mapping):
         widths.append(1 if np.ndim(v) == 1 else v.shape[1])
-        return original(self, v, out=out)
+        return original(self, v, out=out, **mapping)
 
     monkeypatch.setattr(spectral.Semigroup, "apply", counting)
     return widths

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import fft, special
 
@@ -188,16 +188,20 @@ class TestScalarExpansion:
             uniform_error_report(TABLE_EXPANSION, sample_count=1)
 
 
+DIAGONAL = diagonalize(np.diag(np.array([0.0, 400.0, 2500.0, 40000.0])))
+
+
 class _CountingSemigroup:
-    """Duck-typed stand-in recording how many operator applications occur."""
+    """Duck-typed stand-in recording the block width of every operator
+    application, in call order."""
 
     def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
+        self.inner, self.op = inner, inner.op
+        self.widths = []
 
-    def apply(self, v, out=None):
-        self.calls += 1
-        return self.inner.apply(v, out=out)
+    def apply(self, v, out=None, scale=1.0, shift=0.0):
+        self.widths.append(1 if v.ndim == 1 else v.shape[1])
+        return self.inner.apply(v, out=out, scale=scale, shift=shift)
 
     def bounds(self):
         return self.inner.bounds()
@@ -259,7 +263,7 @@ class TestOperatorApplication:
         exp = expansion_coefficients(30.0, 120, domain=(0.0, hi))
         counting = _CountingSemigroup(semigroup)
         apply_to_semigroup(exp, counting, vector)
-        assert counting.calls == exp.degree + 1
+        assert counting.widths == [1] * (exp.degree + 1)
 
     def test_in_place_steps_round_as_the_written_out_recurrence(self, semigroup):
         _, hi = semigroup.bounds()
@@ -271,14 +275,15 @@ class TestOperatorApplication:
         before = block.copy()
         scale, shift = 2.0 / hi, 1.0
 
-        def rescaled(u):
-            return scale * semigroup.apply(u) - shift * u
+        def mapped(factor):
+            # the images of factor (scale A - shift), one column
+            return (factor * scale * semigroup.images - factor * shift)[:, None]
 
         c = exp.coefficients
         b1 = b2 = np.zeros_like(block)
         for j in range(exp.degree, 0, -1):
-            b1, b2 = c[j] * block + 2.0 * rescaled(b1) - b2, b1
-        reference = 0.5 * c[0] * block + rescaled(b1) - b2
+            b1, b2 = mapped(2.0) * b1 - b2 + c[j] * block, b1
+        reference = mapped(1.0) * b1 - b2 + 0.5 * c[0] * block
         assert np.array_equal(apply_to_semigroup(exp, semigroup, block), reference)
         assert np.array_equal(block, before)
 
@@ -301,10 +306,63 @@ class TestOperatorApplication:
             apply_to_semigroup(exp, semigroup, vector)
         assert "1.00111" in str(err.value)
 
+    @pytest.mark.parametrize("shape", [(5,), (3, 2), (4, 2, 1), ()])
+    def test_vector_of_another_size_is_refused_before_any_application(self, shape):
+        counting = _CountingSemigroup(Semigroup(op=DIAGONAL, beta=5e-4))
+        exp = converged_expansion(150.0, (0.0, counting.bounds()[1]), tol=1e-13)
+        with pytest.raises(PreconditionError, match="operator of size 4"):
+            apply_to_semigroup(exp, counting, np.ones(shape))
+        assert counting.widths == []
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3)])
+    def test_block_of_another_width_is_refused_before_any_application(self, shape):
+        counting = _CountingSemigroup(Semigroup(op=DIAGONAL, beta=5e-4))
+        hi = counting.bounds()[1]
+        series = _stacked([converged_expansion(n, (0.0, hi), tol=1e-13) for n in (10.0, 150.0)])
+        with pytest.raises(PreconditionError, match="fit 2 series"):
+            apply_to_semigroup(series, counting, np.ones(shape))
+        assert counting.widths == []
+
+    @given(
+        exponents=st.lists(st.floats(-2.0, 20.0), min_size=1, max_size=12),
+        ns=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(exponents=[-2.0, 0.5, 20.0], ns=[1, 300], seed=0)  # a bound state: hi = e^2
+    def test_block_pass_on_a_random_diagonal_spectrum(self, exponents, ns, seed):
+        # beta E = exponents, so the images e^{-beta E} span up to e^2 > 1;
+        # each series is certified to 4 eps max(1, n hi), four times its
+        # rounding floor, and Clenshaw adds at most (degree + 1) eps per unit
+        # of |v_i| (under 0.12 of that over 3000 random draws)
+        sg = Semigroup(op=diagonalize(np.diag(exponents)), beta=1.0)
+        hi = sg.bounds()[1]
+        ns = sorted(ns)
+        tols = [4 * EPS * max(1.0, n * hi) for n in ns]
+        expansions = [converged_expansion(n, (0.0, hi), tol=t) for n, t in zip(ns, tols)]
+        degrees = [exp.degree for exp in expansions]
+        rng = np.random.default_rng(seed)
+        shape = (len(exponents), len(ns))
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        counting = _CountingSemigroup(sg)
+        values = apply_to_semigroup(_stacked(expansions), counting, block)
+        assert counting.widths == [sum(d >= j for d in degrees) for j in range(max(degrees), -1, -1)]
+        assert sum(counting.widths) == sum(d + 1 for d in degrees)
+        for m, (n, exp, tol) in enumerate(zip(ns, expansions, tols)):
+            column = _CountingSemigroup(sg)
+            own = apply_to_semigroup(exp, column, block[:, m])
+            if len(exponents) > 1:
+                assert np.array_equal(values[:, m], own)
+            else:  # one row: numpy's complex product may round another way
+                rounding = 2 * (exp.degree + 1) * EPS * np.abs(block[:, m])
+                assert np.all(np.abs(values[:, m] - own) <= rounding)
+            assert column.widths == [1] * (exp.degree + 1)
+            err = np.abs(values[:, m] - np.exp(1j * n * sg.images) * block[:, m])
+            assert np.all(err <= (tol + (exp.degree + 1) * EPS) * np.abs(block[:, m]))
+
     def test_operator_matches_scalar_on_diagonal(self, semigroup):
         # diagonal operator: operator application must equal elementwise
         # scalar evaluation at the eigenvalue images
-        d = diagonalize(np.diag(np.array([0.0, 400.0, 2500.0, 40000.0])))
+        d = DIAGONAL
         sg = Semigroup(op=d, beta=5e-4)
         _, hi = sg.bounds()
         exp = converged_expansion(150.0, (0.0, hi), tol=1e-13)
