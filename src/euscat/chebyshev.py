@@ -10,18 +10,17 @@ From j0 = ceil(e|z|/2) on, DLMF 10.14.4 bounds |J_j(z)| by (|z|/2)^j / j! <=
 sum to below 2e^{-40}/(e-1) < 5e-18.  No tolerance below the rounding of the
 phase osc*x itself, eps * max(1, |osc| * max(|a|, |b|)), is accepted.
 
-Applying the expansion to e^{-beta H} uses the Clenshaw recurrence with the
-affinely rescaled operator as the argument; each step is one application of
-the semigroup under that map (one product with its mapped images) plus two
-vector updates, so oscillatory functions of H are reached through contractive
-operations only.  Series on one domain share one recurrence, one per column.
+Applied to e^{-beta H}, the forward recurrence builds the Chebyshev vectors
+T_j(X) v of the rescaled operator X, one semigroup application under the
+affine map and one subtraction per order: oscillatory functions of H through
+contractive operations only.  As in the kernel polynomial method (Weisse et
+al., Rev. Mod. Phys. 78, 275 (2006)), every series on one domain sums them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -30,10 +29,11 @@ from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
 from .spectral import Semigroup
 
 _DOMAIN_SLACK = 1e-12
-# each degree costs one semigroup application; at this degree one Clenshaw
-# pass over one column in the eigenbasis of a 500-point grid takes about 4 s
-# (4.2 us per step on a 2-core VM)
+# each degree costs one semigroup application; at this degree one pass over
+# one column in the eigenbasis of a 500-point grid takes 1.5-2.3 s
+# (1.5-2.3 us per order on a 2-core VM)
 _MAX_DEGREE = 1_000_000
+_BLOCK = 32  # orders per product of a series' sum; _BLOCK x N vectors kept per column
 
 
 def _negligible_from(z: float) -> int:
@@ -55,8 +55,8 @@ class ChebyshevExpansion:
 
 class _SeriesBlock(NamedTuple):
     """Expansions on one domain side by side: column m of ``coefficients``
-    holds the m-th series, zero-padded to the largest degree; Clenshaw never
-    steps a column over the padding above its own degree."""
+    holds the m-th series, zero-padded to the largest degree; no series sums
+    a Chebyshev vector of the padding above its own degree."""
 
     degree: int
     coefficients: np.ndarray
@@ -147,17 +147,17 @@ def evaluate_scalar(exp: ChebyshevExpansion, x):
 def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) -> np.ndarray:
     """The expansion evaluated at the operator e^{-beta H}, applied to v.
 
-    Clenshaw in operator form, b_j = c_j v + f X b_{j+1} - b_{j+2} with X =
-    scale e^{-beta H} - shift mapping the spectrum onto [-1, 1] and f = 2 (1
-    at order 0): one ``sg.apply`` under the map f X per order, never a
-    function of the matrix.  v has ``sg.op.size`` rows in the coordinates
-    ``sg.apply`` takes; the spectrum must lie in the domain.  A block of
-    series (``_stacked``) has one series per column of an N x m block v, and
-    each column joins the recurrence at its own degree: the step of order j
-    applies the semigroup to the columns from the first one with a nonzero
-    coefficient at j or above, sum_m (degree_m + 1) column-applications in
-    all.  A column that has not joined holds exact zeros, so on N >= 2 rows
-    it ends as its own pass would, bit for bit.
+    The forward recurrence t_0 = v, t_1 = X v, t_{j+1} = 2 X t_j - t_{j-1},
+    with X = scale e^{-beta H} - shift mapping the spectrum onto [-1, 1],
+    gives the Chebyshev vectors T_j(X) v in one ``sg.apply`` under the map
+    X or 2X per order from 1 on: degree applications, never a function of
+    the matrix.  v has ``sg.op.size`` rows in the coordinates ``sg.apply``
+    takes; the spectrum must lie in the domain.  Each series sums (1/2) c_0
+    t_0 + sum_j c_j t_j up to its last nonzero coefficient, one real product
+    per block of ``_BLOCK`` orders from order 0.  A block of series
+    (``_stacked``) has one series per column; a vector or one column v
+    serves them all, an N x m block v gives each its own column.  A column
+    ends as its own pass would, bit for bit.
     """
     a, b = exp.domain
     lo, hi = sg.bounds()
@@ -167,37 +167,44 @@ def apply_to_semigroup(exp: ChebyshevExpansion, sg: Semigroup, v: np.ndarray) ->
             f"semigroup spectrum [{lo:.12g}, {hi:.12g}] is not contained in the "
             f"expansion domain [{a:.12g}, {b:.12g}]"
         )
-    vec = np.asarray(v, dtype=complex, order="F")
-    c = exp.coefficients.reshape(exp.degree + 1, -1).copy()  # one column per series
-    if vec.ndim not in (1, 2) or vec.shape[0] != sg.op.size or (
-            c.shape[1] > 1 and vec.shape[1:] != c.shape[1:]):
-        raise PreconditionError(f"v of shape {vec.shape} does not fit {c.shape[1]} series "
+    vec = np.asarray(v)
+    c = exp.coefficients.reshape(exp.degree + 1, -1).T.copy()  # one writable row per series
+    series, columns = c.shape[0], vec.shape[1] if vec.ndim == 2 else 1
+    if vec.ndim not in (1, 2) or vec.shape[0] != sg.op.size or columns < 1 or (
+            series > 1 and columns not in (1, series)):
+        raise PreconditionError(f"v of shape {vec.shape} does not fit {series} series "
                                 f"on an operator of size {sg.op.size}")
-    c[0] *= 0.5
-    single = {"scale": 2.0 / (b - a), "shift": (a + b) / (b - a)}
-    double = {key: 2.0 * value for key, value in single.items()}
-    # starts[j]: the first column whose last nonzero coefficient, tops[m], is
-    # at order j or above (a zero column counts as nonzero at every order)
-    tops = (exp.degree - np.argmax(c[::-1] != 0, axis=0)).tolist()
-    starts = [0] * (exp.degree + 1)
-    for m in reversed(range(len(tops))):
-        starts[: tops[m] + 1] = [m] * (tops[m] + 1)
-    # a ring of three blocks holds b1, b2 and the next b1; every block keeps
-    # its columns contiguous, as a one-column pass does
-    b1, b2, fresh = (np.zeros_like(vec) for _ in range(3))
-    scratch = np.empty_like(b1)
-    for first, orders in groupby(range(exp.degree, -1, -1), key=starts.__getitem__):
-        # a run of orders steps the same columns, through views of each block
-        cols = np.s_[..., first:]
-        coefficients, source, spare = c[:, first:], vec[cols], scratch[cols]
-        v1, v2, vf = b1[cols], b2[cols], fresh[cols]
-        for j in orders:
-            out = sg.apply(v1, out=vf, **(double if j else single))
-            out -= v2
-            out += np.multiply(coefficients[j], source, out=spare)
-            v1, v2, vf = vf, v1, v2
-            b1, b2, fresh = fresh, b1, b2
-    return b1
+    c[:, 0] *= 0.5
+    # output q: series q % series, summed up to its last nonzero order, on
+    # column q % columns of v
+    outputs = max(series, columns)
+    tops = [np.max(np.flatnonzero(row), initial=0) for row in c]
+    # each series' real and imaginary coefficients as two real rows: one real
+    # product with the vectors' real views sums both parts and loads no complex
+    # BLAS kernel, whose code cost a sweep about 0.3 MB of peak memory
+    parts = np.stack([c.real, c.imag], axis=1)
+    sums = np.zeros((outputs, 2, 2 * vec.shape[0]))
+    # one block of Chebyshev vectors per column of v: t_j is row j % size
+    size = min(_BLOCK, exp.degree + 1)
+    ring = np.empty((columns, size, vec.shape[0]), dtype=complex)
+    ring[:, 0] = vec.T
+    steps = list(ring[0]) if columns == 1 else list(ring.transpose(1, 2, 0))
+    scale, shift = 2.0 / (b - a), (a + b) / (b - a)
+    if exp.degree:
+        sg.apply(steps[0], steps[1], scale, shift)
+    apply, scale2, shift2 = sg.apply, 2.0 * scale, 2.0 * shift
+    for first in range(0, exp.degree + 1, size):
+        last = min(first + size, exp.degree + 1)
+        for j in range(max(first, 2), last):
+            out = apply(steps[(j - 1) % size], steps[j % size], scale2, shift2)
+            out -= steps[(j - 2) % size]
+        for q in range(outputs):
+            stop = min(last, tops[q % series] + 1)
+            if stop > first:
+                rows = ring[q % columns, : stop - first].view(float)
+                sums[q] += parts[q % series, :, first:stop] @ rows
+    values = sums[:, 0].view(complex) + 1j * sums[:, 1].view(complex)
+    return values[0] if vec.ndim == 1 and exp.coefficients.ndim == 1 else values.T
 
 
 def uniform_error_report(

@@ -9,8 +9,9 @@ which converge to the S-matrix element as n grows, because replacing a
 Hamiltonian pair (H, H0) by (-e^{-beta H}, -e^{-beta H0}) leaves the wave
 operators unchanged for any beta > 0.  The free factors are elementwise
 phases on the momentum grid; the interacting factor is a Chebyshev polynomial
-in e^{-beta H} applied by Clenshaw recurrence.  No e^{iHt} ever appears in the
-approximant; the real-time propagator shows up only in a cross-check oracle.
+in e^{-beta H} applied by the forward Chebyshev recurrence.  No e^{iHt} ever
+appears in the approximant; the real-time propagator shows up only in a
+cross-check oracle.
 
 The interacting factor is paid for at half the phase.  A = e^{-beta H} is real
 symmetric, so e^{inA} is complex symmetric and, with u = e^{-in exp(-beta H0)}
@@ -25,15 +26,15 @@ with p(lambda_i), and as U is orthogonal
 
     u'^T p(A)^2 u = sum_i c'_i c_i p(lambda_i)^2
 
-(c alone when u' = u, as for identical real packets).  Clenshaw on a block of
-ones gives the values p(lambda_i), each semigroup application being one
-product with the images of e^{-beta E} under the recurrence's affine map; the
-series of every n of a sweep share that one pass, one column each, and each
-column joins it at its own degree, so a sweep takes the degree + 1 steps of
-its largest n and pays each n its own degree + 1 column-applications.  The
-exact propagator of the tests shares every other step and takes
-e^{in lambda_i} in place of p(lambda_i).  A per-factor uniform error of 5e-13
-bounds the overlap's by sup|p^2 - e^{2inx}| <= tol (2 + tol) < 1e-12.
+(c alone when u' = u, as for identical real packets).  The forward
+recurrence on a column of ones gives the Chebyshev vectors T_j(X) 1, each
+semigroup application being one product with the images of e^{-beta E} under
+the affine map, and the values p(lambda_i) as a sum of them.  The vectors do
+not depend on n, so every n of a sweep sums its series off one recurrence of
+the largest n's degree in one-column applications.  The exact propagator of
+the tests shares every other step and takes e^{in lambda_i} in place of
+p(lambda_i).  A per-factor uniform error of 5e-13 bounds the overlap's by
+sup|p^2 - e^{2inx}| <= tol (2 + tol) < 1e-12.
 
 Conventions: S(k) = 1 - i pi m k t(k), energy density rho(E) = m k / 2.
 The sharp amplitude comes from the quotient
@@ -365,13 +366,13 @@ def _half_phase_overlaps(
     """u'^T e^{2inA} u for each n of ``ns`` by the half-phase identity of the
     module docstring, A = e^{-beta H} for the model's H on the packets' grid
     (``op`` when given).  The propagators differ only in the values v of
-    e^{inx} on the spectrum: the Chebyshev series of every n in one Clenshaw
-    pass on a block of ones, or e^{in lambda} when ``exact``; the overlap is
-    (v c')^T (v c).  A rounding-floor error that interlacing shows comes
-    before the eigensolver, and every series and every n's coordinates are
-    built before the Clenshaw pass, so no ``AccuracyError`` comes after an
-    application; each n has its own coordinates and reduction, so its
-    overlap does not depend on the other n."""
+    e^{inx} on the spectrum: the Chebyshev series of every n summed off one
+    forward recurrence on a column of ones, or e^{in lambda} when ``exact``;
+    the overlap is (v c')^T (v c).  A rounding-floor error that interlacing
+    shows comes before the eigensolver, and every series and every n's
+    coordinates are built before the recurrence, so no ``AccuracyError``
+    comes after an application; each n has its own coordinates and
+    reduction, so its overlap does not depend on the other n."""
     grid = _require_shared_grid(psi_prime, psi)
     beta = _resolve_beta(model, cfg, psi.center)
     if not exact and grid.size >= 2:
@@ -400,8 +401,8 @@ def _half_phase_overlaps(
     if exact:
         values = np.exp(1j * np.multiply.outer(ns, sg.images))
     else:
-        # one contiguous row per n, laid out as a one-n pass lays out its values
-        values = apply_to_semigroup(series, sg, np.ones((sg.op.size, len(ns)))).T.copy()
+        # one column of ones serves every n; one contiguous row of values per n
+        values = apply_to_semigroup(series, sg, np.ones((sg.op.size, 1))).T
     overlaps = []
     for value, block in zip(values, coords):
         halves = value[:, None] * block
@@ -500,11 +501,10 @@ def sweep_n(
     S at the ket packet's center momentum (adds the packet-width bias, which
     is what shrinks when sigma does).  Every n must be an integer >= 1.
     Beta does not depend on n, so one eigendecomposition and one ``Semigroup``
-    serve the sweep, and the half-phase series of every n run as the columns
-    of one Clenshaw pass of the degree + 1 steps of the largest n's series,
-    each column joining at its own degree: sum_n (degree_n + 1)
-    column-applications.  Each row equals ``kb_s_overlap`` at its n bit for
-    bit.
+    serve the sweep, and the half-phase series of every n read their sums
+    off one forward recurrence on a column of ones: the largest n's degree
+    in one-column applications, for any number of n.  Each row equals
+    ``kb_s_overlap`` at its n bit for bit.
     """
     if len(n_values) == 0:
         raise ConfigError("n_values must not be empty")

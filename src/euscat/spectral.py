@@ -624,31 +624,32 @@ class Semigroup:
 
     ``apply`` takes eigen-coordinates c = U^T u (``op.coordinates``), where
     the semigroup is the product with the read-only images e^{-beta E} (under
-    an affine map, with their images, formed on first use and kept);
+    an affine map, with their images, kept 1-D and as a column from first use);
     ``semigroup_apply`` is the same operator on grid coordinates.
     """
 
     op: SpectralOperator
     beta: float
     images: np.ndarray = field(init=False, repr=False, compare=False)
-    _mapped: Dict[Tuple[float, float], np.ndarray] = field(init=False, repr=False, compare=False)
+    _mapped: Dict[Tuple[float, float], Tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bounds()
         images = np.exp(-self.beta * self.op.eigenvalues)
         images.setflags(write=False)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_mapped", {(1.0, 0.0): images})
+        object.__setattr__(self, "_mapped", {(1.0, 0.0): (images, images[:, None])})
 
     def apply(self, c: np.ndarray, out: Optional[np.ndarray] = None, scale: float = 1.0,
               shift: float = 0.0) -> np.ndarray:
         """scale e^{-beta H} - shift on eigen-coordinates c, a vector or, row-wise,
         an N x K block; written into ``out`` and returned when given."""
-        images = self._mapped.get((scale, shift))
-        if images is None:  # complex: a complex block then meets it without a cast
-            images = self._mapped[scale, shift] = (scale * self.images - shift).astype(complex)
-        c = np.asarray(c)
-        return np.multiply(images if c.ndim == 1 else images[:, None], c, out=out)
+        shapes = self._mapped.get((scale, shift))
+        if shapes is None:  # complex: a complex block then meets it without a cast
+            images = (scale * self.images - shift).astype(complex)
+            shapes = self._mapped[scale, shift] = (images, images[:, None])
+        return np.multiply(shapes[c.ndim - 1], c, out=out)
 
     def bounds(self) -> Tuple[float, float]:
         return semigroup_bounds(self.op, self.beta)

@@ -19,13 +19,13 @@ settings.load_profile("deterministic")
 def apply_widths(monkeypatch):
     """The block width of every ``Semigroup.apply`` call, in call order: one
     entry per semigroup application, the paper's cost unit, whether plain or
-    under the affine map of a Clenshaw step."""
+    under the affine map of a recurrence step."""
     widths = []
     original = spectral.Semigroup.apply
 
-    def counting(self, v, out=None, **mapping):
+    def counting(self, v, *args, **kwargs):
         widths.append(1 if np.ndim(v) == 1 else v.shape[1])
-        return original(self, v, out=out, **mapping)
+        return original(self, v, *args, **kwargs)
 
     monkeypatch.setattr(spectral.Semigroup, "apply", counting)
     return widths

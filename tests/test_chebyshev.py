@@ -263,7 +263,23 @@ class TestOperatorApplication:
         exp = expansion_coefficients(30.0, 120, domain=(0.0, hi))
         counting = _CountingSemigroup(semigroup)
         apply_to_semigroup(exp, counting, vector)
-        assert counting.widths == [1] * (exp.degree + 1)
+        assert counting.widths == [1] * exp.degree
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_lowest_degrees_take_their_terms_exactly(self, semigroup, degree):
+        # dyadic coefficients and a real v make every product exact, so the
+        # sum (1/2) c_0 v + c_1 X v is one rounding in any order
+        _, hi = semigroup.bounds()
+        coefficients = np.array([2.0 + 1.0j, 0.5 - 0.25j])[: degree + 1]
+        exp = chebyshev.ChebyshevExpansion(degree, coefficients, (0.0, hi), 0.0)
+        v = np.random.default_rng(2).standard_normal(semigroup.op.size)
+        counting = _CountingSemigroup(semigroup)
+        values = apply_to_semigroup(exp, counting, v)
+        assert counting.widths == [1] * degree
+        expected = (1.0 + 0.5j) * v
+        if degree:
+            expected += (0.5 - 0.25j) * ((2.0 / hi) * semigroup.images - 1.0) * v
+        assert np.array_equal(values, expected)
 
     def test_in_place_steps_round_as_the_written_out_recurrence(self, semigroup):
         _, hi = semigroup.bounds()
@@ -279,24 +295,36 @@ class TestOperatorApplication:
             # the images of factor (scale A - shift), one column
             return (factor * scale * semigroup.images - factor * shift)[:, None]
 
-        c = exp.coefficients
-        b1 = b2 = np.zeros_like(block)
-        for j in range(exp.degree, 0, -1):
-            b1, b2 = mapped(2.0) * b1 - b2 + c[j] * block, b1
-        reference = mapped(1.0) * b1 - b2 + 0.5 * c[0] * block
+        t = [block, mapped(1.0) * block]
+        for j in range(1, exp.degree):
+            t.append(mapped(2.0) * t[j] - t[j - 1])
+        # each column sums its vectors by blocks of orders, one real product
+        # of the coefficients' real and imaginary rows with the vectors' real
+        # views each, and joins the two sums at the end
+        c = exp.coefficients.copy()
+        c[0] *= 0.5
+        parts = np.array([c.real, c.imag])
+        sums = np.zeros((block.shape[1], 2, 2 * semigroup.op.size))
+        for first in range(0, exp.degree + 1, chebyshev._BLOCK):
+            orders = slice(first, first + chebyshev._BLOCK)
+            for m in range(block.shape[1]):
+                rows = np.array([vector[:, m] for vector in t[orders]])
+                sums[m] += parts[:, orders] @ rows.view(float)
+        reference = (sums[:, 0].view(complex) + 1j * sums[:, 1].view(complex)).T
         assert np.array_equal(apply_to_semigroup(exp, semigroup, block), reference)
         assert np.array_equal(block, before)
 
     def test_block_columns_equal_their_own_passes_bit_for_bit(self, semigroup, apply_widths):
-        # out of degree order, the series of 10 and 50 step as zeros under the
-        # degree of 300 until their own degrees, so every order takes 3 columns
+        # out of degree order, each series on its own column: every order of
+        # the degree of 300 takes 3 columns, and the series of 10 and 50 sum
+        # only their own orders
         _, hi = semigroup.bounds()
         expansions = [converged_expansion(n, (0.0, hi), tol=5e-13) for n in (300, 10, 50)]
         rng = np.random.default_rng(5)
         shape = (semigroup.op.size, 3)
         block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         values = apply_to_semigroup(_stacked(expansions), semigroup, block)
-        assert apply_widths == [3] * (expansions[0].degree + 1)
+        assert apply_widths == [3] * expansions[0].degree
         for m, exp in enumerate(expansions):
             assert np.array_equal(values[:, m], apply_to_semigroup(exp, semigroup, block[:, m]))
 
@@ -306,7 +334,7 @@ class TestOperatorApplication:
             apply_to_semigroup(exp, semigroup, vector)
         assert "1.00111" in str(err.value)
 
-    @pytest.mark.parametrize("shape", [(5,), (3, 2), (4, 2, 1), ()])
+    @pytest.mark.parametrize("shape", [(5,), (3, 2), (4, 2, 1), (), (4, 0)])
     def test_vector_of_another_size_is_refused_before_any_application(self, shape):
         counting = _CountingSemigroup(Semigroup(op=DIAGONAL, beta=5e-4))
         exp = converged_expansion(150.0, (0.0, counting.bounds()[1]), tol=1e-13)
@@ -314,14 +342,58 @@ class TestOperatorApplication:
             apply_to_semigroup(exp, counting, np.ones(shape))
         assert counting.widths == []
 
-    @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3)])
-    def test_block_of_another_width_is_refused_before_any_application(self, shape):
+    def test_block_of_another_width_is_refused_before_any_application(self):
         counting = _CountingSemigroup(Semigroup(op=DIAGONAL, beta=5e-4))
         hi = counting.bounds()[1]
         series = _stacked([converged_expansion(n, (0.0, hi), tol=1e-13) for n in (10.0, 150.0)])
         with pytest.raises(PreconditionError, match="fit 2 series"):
-            apply_to_semigroup(series, counting, np.ones(shape))
+            apply_to_semigroup(series, counting, np.ones((4, 3)))
         assert counting.widths == []
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1)])
+    def test_vector_or_one_column_serves_every_series(self, shape):
+        counting = _CountingSemigroup(Semigroup(op=DIAGONAL, beta=5e-4))
+        hi = counting.bounds()[1]
+        expansions = [converged_expansion(n, (0.0, hi), tol=1e-13) for n in (10.0, 150.0)]
+        v = np.array([1.0, -2.0, 0.5, 3.0]).reshape(shape)
+        values = apply_to_semigroup(_stacked(expansions), counting, v)
+        assert values.shape == (4, 2)
+        assert counting.widths == [1] * expansions[1].degree
+        for m, exp in enumerate(expansions):
+            assert np.array_equal(values[:, m], apply_to_semigroup(exp, counting.inner, v.ravel()))
+
+    def test_one_column_serves_a_block_bit_for_bit(self, semigroup, apply_widths):
+        # one recurrence on one column: each series sums its own orders of
+        # the shared Chebyshev vectors, as its own pass sums them
+        _, hi = semigroup.bounds()
+        ns = (300, 10, 120, 50)
+        expansions = [converged_expansion(n, (0.0, hi), tol=5e-13) for n in ns]
+        rng = np.random.default_rng(13)
+        column = rng.standard_normal((semigroup.op.size, 1)) + 1j * rng.standard_normal(
+            (semigroup.op.size, 1)
+        )
+        values = apply_to_semigroup(_stacked(expansions), semigroup, column)
+        assert values.shape == (semigroup.op.size, len(ns))
+        assert apply_widths == [1] * expansions[0].degree
+        for m, exp in enumerate(expansions):
+            assert np.array_equal(values[:, m], apply_to_semigroup(exp, semigroup, column[:, 0]))
+
+    @pytest.mark.parametrize("n", [150, 300, 1000, 2200])
+    def test_error_bound_holds_at_and_near_the_domain_ends(self, n):
+        # images exactly at 0 (e^{-800} underflows) and at hi = 1, and within
+        # 1e-12 of both; n = 2200 is the largest n above the rounding floor of
+        # tol = 5e-13 on [0, 1], of degree about 1200
+        near = [0.0, -math.log1p(-1e-12), 1e-12 * 0.5, -math.log(1e-12), 800.0]
+        exponents = near + list(np.linspace(0.0, 40.0, 60))
+        sg = Semigroup(op=diagonalize(np.diag(np.sort(exponents))), beta=1.0)
+        lo, hi = sg.bounds()
+        assert (lo, hi) == (0.0, 1.0)
+        tol = 5e-13
+        exp = converged_expansion(n, (0.0, hi), tol=tol)
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(sg.op.size) + 1j * rng.standard_normal(sg.op.size)
+        err = np.abs(apply_to_semigroup(exp, sg, v) - np.exp(1j * n * sg.images) * v)
+        assert np.all(err <= (tol + (exp.degree + 1) * EPS) * np.abs(v))
 
     @given(
         exponents=st.lists(st.floats(-2.0, 20.0), min_size=1, max_size=12),
@@ -332,8 +404,9 @@ class TestOperatorApplication:
     def test_block_pass_on_a_random_diagonal_spectrum(self, exponents, ns, seed):
         # beta E = exponents, so the images e^{-beta E} span up to e^2 > 1;
         # each series is certified to 4 eps max(1, n hi), four times its
-        # rounding floor, and Clenshaw adds at most (degree + 1) eps per unit
-        # of |v_i| (under 0.12 of that over 3000 random draws)
+        # rounding floor, and the recurrence adds at most (degree + 1) eps per
+        # unit of |v_i| (the whole error stays under 0.67 of the bound over
+        # 3000 random draws)
         sg = Semigroup(op=diagonalize(np.diag(exponents)), beta=1.0)
         hi = sg.bounds()[1]
         ns = sorted(ns)
@@ -345,8 +418,7 @@ class TestOperatorApplication:
         block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         counting = _CountingSemigroup(sg)
         values = apply_to_semigroup(_stacked(expansions), counting, block)
-        assert counting.widths == [sum(d >= j for d in degrees) for j in range(max(degrees), -1, -1)]
-        assert sum(counting.widths) == sum(d + 1 for d in degrees)
+        assert counting.widths == [len(ns)] * max(degrees)
         for m, (n, exp, tol) in enumerate(zip(ns, expansions, tols)):
             column = _CountingSemigroup(sg)
             own = apply_to_semigroup(exp, column, block[:, m])
@@ -355,7 +427,7 @@ class TestOperatorApplication:
             else:  # one row: numpy's complex product may round another way
                 rounding = 2 * (exp.degree + 1) * EPS * np.abs(block[:, m])
                 assert np.all(np.abs(values[:, m] - own) <= rounding)
-            assert column.widths == [1] * (exp.degree + 1)
+            assert column.widths == [1] * exp.degree
             err = np.abs(values[:, m] - np.exp(1j * n * sg.images) * block[:, m])
             assert np.all(err <= (tol + (exp.degree + 1) * EPS) * np.abs(block[:, m]))
 

@@ -330,11 +330,11 @@ class TestKbSweep:
         assert len({(r[3], r[4]) for r in rows}) == 1
         capsys.readouterr()
 
-    def test_default_sweep_is_one_pass_of_200_steps_and_3484_applications(
+    def test_default_sweep_is_one_recurrence_of_199_applications(
         self, tmp_path, apply_widths, monkeypatch, capsys
     ):
-        # n = 10..300 in steps of 10: every n shares the 200 steps of n = 300,
-        # and the series of each n joins the pass at its own degree
+        # n = 10..300 in steps of 10: every n reads its sum off the Chebyshev
+        # vectors of one column of ones, up to the degree 199 of n = 300
         degrees = []
         converged = euscat.kato_birman.converged_expansion
 
@@ -346,9 +346,8 @@ class TestKbSweep:
         monkeypatch.setattr(euscat.kato_birman, "converged_expansion", recording)
         assert main(["kb-sweep", "--out", str(tmp_path)]) == 0
         assert len(degrees) == 30
-        assert len(apply_widths) == max(degrees) + 1 == 200
-        assert apply_widths == [sum(d >= j for d in degrees) for j in range(199, -1, -1)]
-        assert sum(apply_widths) == sum(d + 1 for d in degrees) == 3484
+        assert max(degrees) == 199
+        assert apply_widths == [1] * 199
         capsys.readouterr()
 
     def test_zero_coupling_error_is_noise(self, tmp_path, capsys):

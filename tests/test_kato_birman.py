@@ -199,7 +199,7 @@ class TestKBOverlap:
         bra = make_packet(1040.0, 90.0, GRID_1GEV) if primed else PACKET_1GEV
         kb_s_overlap(MODEL, KBConfig(n=n, beta=5e-4), bra, PACKET_1GEV, op=OP_1GEV)
         _, hi = spectral.Semigroup(OP_1GEV, 5e-4).bounds()
-        assert len(apply_widths) == converged_expansion(n, (0.0, hi), 5e-13).degree + 1
+        assert len(apply_widths) == converged_expansion(n, (0.0, hi), 5e-13).degree
         assert len(apply_widths) <= 0.6 * converged_expansion(2 * n, (0.0, hi), 1e-12).degree
         assert set(apply_widths) == {1}
 
@@ -371,17 +371,14 @@ class TestSweep:
             kb = kb_s_overlap(MODEL, KBConfig(n=n, beta=5e-4), bra, PACKET_1GEV, op=OP_1GEV)
             assert (row.n, row.re_approx, row.im_approx) == (n, kb.real, kb.imag)
 
-    def test_one_clenshaw_pass_serves_every_n(self, apply_widths):
-        # the pass takes the largest degree + 1 steps, and the series of each
-        # n joins it at its own degree: the width at order j is the number of
-        # series of degree j or more
+    def test_one_recurrence_serves_every_n(self, apply_widths):
+        # one column of ones takes the largest degree of applications, and
+        # the series of each n reads its sum off the same Chebyshev vectors
         bra = make_packet(1040.0, 90.0, GRID_1GEV)
         sweep_n(MODEL, KBConfig(beta=5e-4), [10, 50, 300], bra, PACKET_1GEV)
         _, hi = spectral.Semigroup(OP_1GEV, 5e-4).bounds()
         degrees = [converged_expansion(n, (0.0, hi), 5e-13).degree for n in (10, 50, 300)]
-        assert len(apply_widths) == degrees[-1] + 1
-        assert apply_widths == [sum(d >= j for d in degrees) for j in range(degrees[-1], -1, -1)]
-        assert sum(apply_widths) == sum(d + 1 for d in degrees)
+        assert apply_widths == [1] * degrees[-1]
 
     def test_floor_error_comes_before_any_application(self, apply_widths):
         with pytest.raises(AccuracyError, match="rounding floor"):

@@ -705,7 +705,7 @@ class TestDenseSemigroup:
             sg.images[0] = 1.0
         assert np.array_equal(sg.images, np.exp(-self.BETA * OP.eigenvalues))
         assert np.array_equal(sg.apply(np.ones(GRID.size)), sg.images)
-        # the Clenshaw step works in place on what apply returns
+        # the recurrence works in place on what apply returns
         for c in (np.ones(GRID.size), np.ones((GRID.size, 2), dtype=complex)):
             out = sg.apply(c)
             assert not np.shares_memory(out, c) and not np.shares_memory(out, sg.images)
